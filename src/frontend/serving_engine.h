@@ -41,7 +41,8 @@ struct EngineSummary {
   double goodput_tps = 0.0;            // decoded tokens of SLO-meeting requests / makespan
 };
 
-// q in [0, 1]; nearest-rank on a copy (empty input returns 0). Exposed for benches.
+// q in [0, 1]; linear interpolation between the two closest ranks of a sorted copy, at
+// rank q * (n - 1) (empty input returns 0). Exposed for benches.
 double Percentile(std::vector<double> values, double q);
 
 class ServingEngine {

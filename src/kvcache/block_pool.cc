@@ -39,13 +39,37 @@ int BlockPool::Alloc() {
 
 void BlockPool::AddRef(int block) {
   std::lock_guard<std::mutex> lock(mu_);
+  AddRefLocked(block);
+}
+
+bool BlockPool::Unref(int block) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return UnrefLocked(block);
+}
+
+void BlockPool::AddRefAll(std::span<const int> blocks) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const int b : blocks) {
+    AddRefLocked(b);
+  }
+}
+
+void BlockPool::UnrefAll(std::span<const int> blocks, std::vector<int>* freed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const int b : blocks) {
+    if (UnrefLocked(b) && freed != nullptr) {
+      freed->push_back(b);
+    }
+  }
+}
+
+void BlockPool::AddRefLocked(int block) {
   HEXLLM_CHECK(block >= 0 && block < static_cast<int>(refs_.size()));
   HEXLLM_CHECK(refs_[static_cast<size_t>(block)] > 0);
   ++refs_[static_cast<size_t>(block)];
 }
 
-bool BlockPool::Unref(int block) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool BlockPool::UnrefLocked(int block) {
   HEXLLM_CHECK(block >= 0 && block < static_cast<int>(refs_.size()));
   HEXLLM_CHECK_MSG(refs_[static_cast<size_t>(block)] > 0, "double free of KV block");
   if (--refs_[static_cast<size_t>(block)] > 0) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 namespace hkv {
@@ -35,6 +36,11 @@ class BlockPool {
   // Drops one reference. Returns true when this was the last reference and the block went
   // back to the free list.
   bool Unref(int block);
+  // AddRef / Unref of every listed block under one lock: sharing or releasing a whole block
+  // table costs one lock, not one per block. UnrefAll appends the blocks whose last
+  // reference dropped to `freed` (nullable), in list order.
+  void AddRefAll(std::span<const int> blocks);
+  void UnrefAll(std::span<const int> blocks, std::vector<int>* freed);
 
   int ref_count(int block) const;
   bool bounded() const { return capacity_ > 0; }
@@ -68,6 +74,10 @@ class BlockPool {
   int64_t minted_blocks() const;
 
  private:
+  // AddRef / Unref bodies; the caller holds mu_.
+  void AddRefLocked(int block);
+  bool UnrefLocked(int block);
+
   mutable std::mutex mu_;
   int64_t capacity_;
   int64_t used_ = 0;

@@ -1,6 +1,7 @@
 #include "src/kvcache/kv_block_manager.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
@@ -80,11 +81,14 @@ KvBlockManager::WriteAccess KvBlockManager::EnsureWritable(int seq, int pos) {
   return wa;
 }
 
-void KvBlockManager::Advance(int seq) {
+void KvBlockManager::AdvanceBy(int seq, int n) {
   Table& t = Seq(seq);
-  HEXLLM_CHECK_MSG(t.length < static_cast<int>(t.blocks.size()) * block_tokens_,
-                   "Advance past the last prepared KV block");
-  ++t.length;
+  HEXLLM_CHECK(n >= 0);
+  HEXLLM_CHECK_MSG(
+      static_cast<int64_t>(t.length) + n <=
+          static_cast<int64_t>(t.blocks.size()) * block_tokens_,
+      "Advance past the last prepared KV block");
+  t.length += n;
 }
 
 void KvBlockManager::Reserve(int num_seqs, int blocks_per_seq) {
@@ -102,11 +106,7 @@ void KvBlockManager::Reset(int seq, std::vector<int>* freed) {
   if (t == nullptr) {
     return;
   }
-  for (const int b : t->blocks) {
-    if (pool_.Unref(b) && freed != nullptr) {
-      freed->push_back(b);
-    }
-  }
+  pool_.UnrefAll(t->blocks, freed);
   BumpLogical(-static_cast<int64_t>(t->blocks.size()));
   t->blocks.clear();
   t->length = 0;
@@ -118,11 +118,7 @@ int64_t KvBlockManager::Truncate(int seq, int new_len, std::vector<int>* freed) 
                    "Truncate target must lie within the sequence");
   const int64_t keep = hexllm::CeilDiv(new_len, block_tokens_);
   const int64_t dropped = static_cast<int64_t>(t.blocks.size()) - keep;
-  for (size_t i = static_cast<size_t>(keep); i < t.blocks.size(); ++i) {
-    if (pool_.Unref(t.blocks[i]) && freed != nullptr) {
-      freed->push_back(t.blocks[i]);
-    }
-  }
+  pool_.UnrefAll(std::span<const int>(t.blocks).subspan(static_cast<size_t>(keep)), freed);
   t.blocks.resize(static_cast<size_t>(keep));
   BumpLogical(-dropped);
   t.length = new_len;
@@ -140,9 +136,7 @@ int64_t KvBlockManager::Retain(int seq, int len) {
   h.length = len;
   const int64_t blocks = hexllm::CeilDiv(len, block_tokens_);
   h.blocks.assign(t->blocks.begin(), t->blocks.begin() + blocks);
-  for (const int b : h.blocks) {
-    pool_.AddRef(b);
-  }
+  pool_.AddRefAll(h.blocks);
   const int64_t id = next_handle_++;
   handles_.emplace(id, std::move(h));
   return id;
@@ -163,9 +157,7 @@ void KvBlockManager::ShareFromHandle(int64_t handle, int dst, int len) {
                    "ShareFromHandle requires an empty destination sequence");
   const int64_t blocks = hexllm::CeilDiv(len, block_tokens_);
   t.blocks.assign(it->second.blocks.begin(), it->second.blocks.begin() + blocks);
-  for (const int b : t.blocks) {
-    pool_.AddRef(b);
-  }
+  pool_.AddRefAll(t.blocks);
   t.length = len;
   BumpLogical(blocks);
 }
@@ -173,11 +165,7 @@ void KvBlockManager::ShareFromHandle(int64_t handle, int dst, int len) {
 void KvBlockManager::DropHandle(int64_t handle, std::vector<int>* freed) {
   const auto it = handles_.find(handle);
   HEXLLM_CHECK_MSG(it != handles_.end(), "unknown retained-KV handle");
-  for (const int b : it->second.blocks) {
-    if (pool_.Unref(b) && freed != nullptr) {
-      freed->push_back(b);
-    }
-  }
+  pool_.UnrefAll(it->second.blocks, freed);
   handles_.erase(it);
 }
 

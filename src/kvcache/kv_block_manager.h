@@ -90,7 +90,14 @@ class KvBlockManager {
   WriteAccess EnsureWritable(int seq, int pos);
 
   // Advances the sequence by one position (after all layers wrote their rows).
-  void Advance(int seq);
+  void Advance(int seq) { AdvanceBy(seq, 1); }
+
+  // Advances the sequence by `n` positions in closed form. Every covered position must
+  // already lie in a prepared block (CHECK-fails otherwise): the caller ran EnsureWritable
+  // on the first position and on each block boundary inside the run, which are the only
+  // positions of an append run that can allocate or CoW-split (the analytic backend's
+  // macro-step, docs/performance.md).
+  void AdvanceBy(int seq, int n);
 
   // Pre-sizes the per-sequence tables: materializes sequences [0, num_seqs) and reserves
   // `blocks_per_seq` table entries in each, so steady-state appends (including the

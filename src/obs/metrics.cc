@@ -36,13 +36,17 @@ Histogram::Histogram(HistogramBuckets buckets) : buckets_(std::move(buckets)) {
   counts_.assign(buckets_.bounds.size() + 1, 0);
 }
 
-void Histogram::Observe(double v) {
+void Histogram::ObserveN(double v, int64_t n) {
+  HEXLLM_CHECK(n >= 0);
+  if (n == 0) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   size_t i = 0;
   while (i < buckets_.bounds.size() && v > buckets_.bounds[i]) {
     ++i;
   }
-  ++counts_[i];
+  counts_[i] += n;
   if (count_ == 0) {
     min_ = v;
     max_ = v;
@@ -50,8 +54,10 @@ void Histogram::Observe(double v) {
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
-  ++count_;
-  sum_ += v;
+  count_ += n;
+  for (int64_t k = 0; k < n; ++k) {
+    sum_ += v;
+  }
 }
 
 void Registry::CheckKind(const Key& key, Kind kind) {

@@ -92,7 +92,10 @@ class Histogram {
  public:
   explicit Histogram(HistogramBuckets buckets);
 
-  void Observe(double v);
+  void Observe(double v) { ObserveN(v, 1); }
+  // `n` observations of one value under one lock. The sum is still built by n repeated
+  // additions, so the result matches n Observe(v) calls bit for bit.
+  void ObserveN(double v, int64_t n);
 
   int64_t count() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,7 +1,10 @@
 #include "src/serving/continuous_batcher.h"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/base/check.h"
@@ -480,7 +483,9 @@ void ContinuousBatcher::Complete(int slot, StepEvents& ev) {
   }
 }
 
-StepEvents ContinuousBatcher::Step() {
+StepEvents ContinuousBatcher::Step() { return StepInternal(/*allow_run=*/false); }
+
+StepEvents ContinuousBatcher::StepInternal(bool allow_run) {
   StepEvents ev;
   if (poisoned_ || finished_) {
     ev.time_s = r_.makespan_s;
@@ -516,7 +521,6 @@ StepEvents ContinuousBatcher::Step() {
     if (sl.job >= 0) {
       row_slots_.push_back(s);
       row_contexts_.push_back(sl.context);
-      context_row_sum_ += sl.context;
       int gamma = 0;
       if (sl.remaining > 0) {
         ++useful;
@@ -530,14 +534,33 @@ StepEvents ContinuousBatcher::Step() {
     }
   }
 
-  const double t0 = r_.makespan_s;
+  // Macro-step (docs/performance.md): in a batch run, a plain step whose batch cannot
+  // change before its next completion may advance several steps in one backend call. No
+  // admission can fall inside: the queue is empty, no slot is free and preemption is off,
+  // or a static wave holds every slot until it drains. The run ends at the earliest
+  // completion, so every step inside it sees the same rows.
+  int max_steps = 1;
+  if (allow_run && !any_spec &&
+      (ready_.empty() || (free_slots_.empty() && !options_.enable_preemption) ||
+       options_.policy == SchedulePolicy::kStaticWaves)) {
+    max_steps = std::numeric_limits<int>::max();
+    for (const int s : row_slots_) {
+      const int remaining = slots_[static_cast<size_t>(s)].remaining;
+      if (remaining > 0) {
+        max_steps = std::min(max_steps, remaining);
+      }
+    }
+  }
   // A cycle with at least one drafting row runs as gamma draft steps + ONE batched
-  // multi-row verify, charged as one step; otherwise the exact legacy single-token step.
-  const StepOutcome out = any_spec
-                              ? backend_.SpeculativeStep(row_slots_, row_contexts_, row_gammas_)
-                              : backend_.Step(row_slots_, row_contexts_);
+  // multi-row verify, charged as one step; otherwise plain decode steps.
+  StepOutcome out;
+  int steps = 1;
   if (any_spec) {
+    out = backend_.SpeculativeStep(row_slots_, row_contexts_, row_gammas_);
     ++r_.spec_cycles;
+  } else {
+    steps = backend_.StepRun(row_slots_, row_contexts_, max_steps, &out);
+    HEXLLM_CHECK(steps >= 1 && steps <= max_steps && (steps == 1 || out.tokens.empty()));
   }
   // NPU/CPU overlap (docs/threading_model.md): with >= 2 rows in flight, the CPU lm_head
   // of this step hides under the next step's NPU time (double-buffered logits keep its
@@ -546,35 +569,45 @@ StepEvents ContinuousBatcher::Step() {
   // histogram all see the same number, keeping makespan == prefill + decode + idle exact.
   const double serial_s = out.cost.total_s;
   const double npu_s = serial_s - out.cost.lm_head_s - out.cost.comm_s;
-  double charged_s = serial_s;
-  if (options_.overlap_lm_head && row_slots_.size() >= 2 && out.cost.lm_head_s > 0.0 &&
-      npu_s > 0.0) {
-    charged_s = std::max(npu_s, out.cost.lm_head_s) + out.cost.comm_s;
-    overlap_saved_s_ += serial_s - charged_s;
-    overlap_lm_s_ += out.cost.lm_head_s;
+  const bool overlap = options_.overlap_lm_head && row_slots_.size() >= 2 &&
+                       out.cost.lm_head_s > 0.0 && npu_s > 0.0;
+  const double charged_s =
+      overlap ? std::max(npu_s, out.cost.lm_head_s) + out.cost.comm_s : serial_s;
+  const int rows = static_cast<int>(row_slots_.size());
+  int64_t ctx_sum = 0;
+  for (const int c : row_contexts_) {
+    ctx_sum += c;
   }
-  r_.makespan_s += charged_s;
-  r_.decode_s += charged_s;
-  r_.flash_s += out.cost.flash_s;
-  r_.flash_bytes += out.cost.flash_bytes;
-  r_.energy_j += out.watts * charged_s;
-  step_seconds_hist_->Observe(charged_s);
-  step_active_hist_->Observe(static_cast<double>(useful));
-  useful_rows_ += useful;
-  occupied_rows_ += static_cast<int64_t>(row_slots_.size());
-  if (options_.record_steps) {
-    r_.step_active.push_back(useful);
-    r_.step_occupied.push_back(static_cast<int>(row_slots_.size()));
-  }
-  if (options_.record_trace && traced_steps_ < options_.max_trace_steps) {
-    int64_t ctx_sum = 0;
-    for (const int c : row_contexts_) {
-      ctx_sum += c;
+  // Per-step accounting, repeated once per step of a run in single stepping's order so
+  // every double accumulates bit-identically (each row's context grows one per step).
+  for (int k = 0; k < steps; ++k) {
+    const double t0 = r_.makespan_s;
+    if (overlap) {
+      overlap_saved_s_ += serial_s - charged_s;
+      overlap_lm_s_ += out.cost.lm_head_s;
     }
-    TraceStep(r_.trace, t0, out.cost, charged_s, static_cast<int>(row_slots_.size()),
-              static_cast<int>(ctx_sum / static_cast<int64_t>(row_contexts_.size())));
-    ++traced_steps_;
+    r_.makespan_s += charged_s;
+    r_.decode_s += charged_s;
+    r_.flash_s += out.cost.flash_s;
+    r_.energy_j += out.watts * charged_s;
+    if (options_.record_steps) {
+      r_.step_active.push_back(useful);
+      r_.step_occupied.push_back(rows);
+    }
+    if (options_.record_trace && traced_steps_ < options_.max_trace_steps) {
+      TraceStep(r_.trace, t0, out.cost, charged_s, rows,
+                static_cast<int>((ctx_sum + static_cast<int64_t>(k) * rows) / rows));
+      ++traced_steps_;
+    }
   }
+  r_.flash_bytes += out.cost.flash_bytes * steps;
+  step_seconds_hist_->ObserveN(charged_s, steps);
+  step_active_hist_->ObserveN(static_cast<double>(useful), steps);
+  useful_rows_ += static_cast<int64_t>(useful) * steps;
+  occupied_rows_ += static_cast<int64_t>(rows) * steps;
+  context_row_sum_ += ctx_sum * steps + static_cast<int64_t>(rows) * steps * (steps - 1) / 2;
+  // Completions of a run land on its last step.
+  step_idx_ += steps - 1;
   if (!out.tokens.empty()) {
     size_t expect = row_slots_.size();
     if (!out.row_token_counts.empty()) {
@@ -589,14 +622,15 @@ StepEvents ContinuousBatcher::Step() {
     }
   }
 
-  // Token distribution. Plain steps commit one token per row; a speculative cycle commits
+  // Token distribution. A run of plain steps commits one token per row per step (tokens
+  // are only ever returned for a single step); a speculative cycle commits
   // row_token_counts[i] tokens for row i (tokens flattened row-major) and the per-row
   // gamma cap above guarantees committed <= remaining — never past the decode budget.
   size_t tok_off = 0;
   for (size_t i = 0; i < row_slots_.size(); ++i) {
     const int s = row_slots_[i];
     Slot& sl = slots_[static_cast<size_t>(s)];
-    const int committed = out.row_token_counts.empty() ? 1 : out.row_token_counts[i];
+    const int committed = out.row_token_counts.empty() ? steps : out.row_token_counts[i];
     sl.context += committed;
     if (sl.remaining <= 0) {
       tok_off += static_cast<size_t>(committed);
@@ -735,8 +769,9 @@ ScheduleResult ContinuousBatcher::Run(const std::vector<ServeJob>& jobs) {
   for (const ServeJob& j : jobs) {
     any_fork = any_fork || j.parent_job >= 0;
   }
-  std::map<int, int> id_index;  // job id -> input index, only needed for fork edges
+  std::unordered_map<int, int> id_index;  // job id -> input index, only for fork edges
   if (any_fork) {
+    id_index.reserve(jobs.size());
     for (int j = 0; j < n; ++j) {
       const auto [it, inserted] = id_index.try_emplace(jobs[static_cast<size_t>(j)].id, j);
       if (!inserted) {
@@ -789,6 +824,9 @@ ScheduleResult ContinuousBatcher::Run(const std::vector<ServeJob>& jobs) {
 
   // Register the whole stream, then seed the admission queue with every group's first
   // barrier level (in input order — all priorities equal keeps the legacy FIFO).
+  jobs_.reserve(jobs.size());
+  pending_children_.reserve(jobs.size());
+  id_index_.reserve(jobs.size());
   for (const ServeJob& job : jobs) {
     Register(job);
   }
@@ -820,7 +858,7 @@ ScheduleResult ContinuousBatcher::Run(const std::vector<ServeJob>& jobs) {
   }
 
   while (!poisoned_ && completed_ < n) {
-    const StepEvents ev = Step();
+    const StepEvents ev = StepInternal(/*allow_run=*/true);
     // Barrier bookkeeping guarantees an admissible (or KV-poisoning) job exists whenever
     // work remains, so an idle step here would loop forever — that's a scheduler bug.
     HEXLLM_CHECK(ev.stepped || poisoned_);

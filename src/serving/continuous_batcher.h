@@ -27,7 +27,9 @@
 ///
 /// Two driving modes share one step loop:
 ///   * batch — Run(jobs) validates a complete job stream, then drives Submit/Step/Finish
-///     internally. The result is identical to the original batch-scoped scheduler.
+///     internally. The result is identical to the original batch-scoped scheduler. A step
+///     whose batch cannot change before its next completion may advance several steps in
+///     one backend call (ExecutionBackend::StepRun, docs/performance.md), bit-identically.
 ///   * live — Submit(job) enqueues timestamped work as it arrives and Step() advances the
 ///     world by one decode step, reporting admissions/tokens/completions/preemptions as
 ///     StepEvents. The request frontend (src/frontend, docs/serving_frontend.md) drives
@@ -44,9 +46,9 @@
 #define SRC_SERVING_CONTINUOUS_BATCHER_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/runtime/trace.h"
@@ -305,6 +307,10 @@ class ContinuousBatcher {
   void PauseSlotInternal(int slot, bool requeue, StepEvents* ev);
   // Completion bookkeeping for the job in `slot` (retention, group barriers, reclamation).
   void Complete(int slot, StepEvents& ev);
+  // Step() body. With `allow_run` (batch mode only), a plain step whose batch cannot change
+  // before its next completion advances a whole run of steps in one backend call
+  // (ExecutionBackend::StepRun); results are bit-identical to single stepping.
+  StepEvents StepInternal(bool allow_run);
   // Marks the run failed (live mode surfaces the error on Finish).
   void Poison(const std::string& error);
   void FinalizeMetrics();
@@ -316,8 +322,8 @@ class ContinuousBatcher {
   ScheduleResult r_;
   std::vector<JobRec> jobs_;
   std::vector<Group> groups_;
-  std::map<int, int> group_index_;  // prompt_group id -> groups_ index
-  std::map<int, int> id_index_;     // job id -> jobs_ index
+  std::unordered_map<int, int> group_index_;  // prompt_group id -> groups_ index
+  std::unordered_map<int, int> id_index_;     // job id -> jobs_ index
   bool ids_unique_ = true;          // duplicate ids allowed in fork-free batch streams
   std::set<ReadyEntry> ready_;
   int64_t ready_seq_ = 0;

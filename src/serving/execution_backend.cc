@@ -15,16 +15,21 @@ namespace hserve {
 
 namespace {
 
-// Per-row contexts are priced at their mean, rounded UP to the bucket boundary so pricing
-// never undershoots the true mean and stays monotone as contexts grow.
-int ContextBucket(std::span<const int> contexts, int bucket_tokens) {
+// Per-row contexts are priced at their mean (rounded up, at least 1), itself rounded UP to
+// the bucket boundary so pricing never undershoots the true mean and stays monotone as
+// contexts grow.
+int PricedMean(std::span<const int> contexts) {
   int64_t sum = 0;
   for (int c : contexts) {
     HEXLLM_DCHECK(c >= 0);
     sum += c;
   }
   const int64_t mean = hexllm::CeilDiv(sum, static_cast<int64_t>(contexts.size()));
-  return static_cast<int>(hexllm::RoundUp(std::max<int64_t>(mean, 1), bucket_tokens));
+  return static_cast<int>(std::max<int64_t>(mean, 1));
+}
+
+int ContextBucket(std::span<const int> contexts, int bucket_tokens) {
+  return static_cast<int>(hexllm::RoundUp(PricedMean(contexts), bucket_tokens));
 }
 
 // Deterministic synthetic token at absolute position `pos` of job `job_id`'s context, so a
@@ -221,10 +226,7 @@ double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tok
     HEXLLM_CHECK_MSG(shared <= context_tokens,
                      "fork context must cover the parent's final KV length");
     kv_.ShareFromHandle(it->second.handle, slot, shared);
-    for (int pos = shared; pos < context_tokens; ++pos) {
-      kv_.EnsureWritable(slot, pos);
-      kv_.Advance(slot);
-    }
+    AppendTokens(slot, shared, context_tokens);
     if (charged_prefill_tokens <= 0) {
       return 0.0;
     }
@@ -248,10 +250,7 @@ double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tok
       make_anchor = true;
     }
   }
-  for (int pos = shared; pos < context_tokens; ++pos) {
-    kv_.EnsureWritable(slot, pos);
-    kv_.Advance(slot);
-  }
+  AppendTokens(slot, shared, context_tokens);
   if (make_anchor) {
     const int len = std::min(GroupPrefixLen(job), context_tokens);
     anchors_.emplace(job.prompt_group, Retained{kv_.Retain(slot, len), len});
@@ -355,7 +354,14 @@ const hrt::StepCost& AnalyticBackend::BucketedCost(int batch, int context) {
 }
 
 StepOutcome AnalyticBackend::Step(std::span<const int> slots, std::span<const int> contexts) {
-  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size());
+  StepOutcome out;
+  StepRun(slots, contexts, 1, &out);
+  return out;
+}
+
+int AnalyticBackend::StepRun(std::span<const int> slots, std::span<const int> contexts,
+                             int max_steps, StepOutcome* out) {
+  HEXLLM_CHECK(!slots.empty() && slots.size() == contexts.size() && max_steps >= 1);
   const int batch = static_cast<int>(slots.size());
   // Attention cost scales with the ATTENDED context: a sliding window caps every row at its
   // resident token count (the kernel skips masked chunks), so pricing buckets the effective
@@ -364,19 +370,65 @@ StepOutcome AnalyticBackend::Step(std::span<const int> slots, std::span<const in
   for (const int c : contexts) {
     eff_contexts_.push_back(EffectiveContext(c));
   }
-  const int bucket = ContextBucket(eff_contexts_, bucket_tokens_);
-  // Mirror the functional backend's KV appends exactly (one position per row), so the two
-  // backends report bit-identical block statistics for one job stream.
+  const int mean = PricedMean(eff_contexts_);
+  const int bucket = static_cast<int>(hexllm::RoundUp(mean, bucket_tokens_));
+  // Every row grows one position per step, so the priced mean grows by at most one per
+  // step (exactly one without a window; a row capped by the window stays put). The bucket
+  // therefore holds for at least bucket - mean + 1 steps. Offload charges each step's
+  // attended blocks against the resident budget, so it single-steps.
+  const int steps = offload_blocks_ > 0 ? 1 : std::min(max_steps, bucket - mean + 1);
+  AppendRun(slots, contexts, steps);
+  out->cost = BucketedCost(batch, bucket);
+  out->watts = step_cache_.at(std::make_pair(batch, bucket)).second;
+  ChargeOffload(contexts, &out->cost);
+  return steps;
+}
+
+void AnalyticBackend::AppendTokens(int slot, int from, int to) {
+  if (to > from) {
+    AppendRun(std::span<const int>(&slot, 1), std::span<const int>(&from, 1), to - from);
+  }
+}
+
+void AnalyticBackend::AppendRun(std::span<const int> slots, std::span<const int> contexts,
+                                int steps) {
+  // Mirror the functional backend's KV appends exactly (one position per row per step), so
+  // the two backends report bit-identical block statistics for one job stream. Only a
+  // row's first position (a fresh block or a CoW split of a shared tail) and the block
+  // boundaries inside the run can allocate; every other append lands in a block the row
+  // already owns alone. Those calls keep single stepping's (step, row) order, so block ids
+  // follow the same free-list order.
   for (size_t i = 0; i < slots.size(); ++i) {
     HEXLLM_DCHECK(kv_.length(slots[i]) == contexts[i]);
     kv_.EnsureWritable(slots[i], contexts[i]);
-    kv_.Advance(slots[i]);
   }
-  StepOutcome out;
-  out.cost = BucketedCost(batch, bucket);
-  out.watts = step_cache_.at(std::make_pair(batch, bucket)).second;
-  ChargeOffload(contexts, &out.cost);
-  return out;
+  // Row i crosses a block boundary at steps phase(i), phase(i) + bt, ... Visiting the rows
+  // that cross one by ascending phase (ties in row order) within each bt-step period is
+  // (step, row) order. The insertion sort keeps ties stable and allocates nothing.
+  const int bt = kv_.block_tokens();
+  const auto phase = [&](int i) { return bt - contexts[static_cast<size_t>(i)] % bt; };
+  run_rows_.clear();
+  for (int i = 0; i < static_cast<int>(slots.size()); ++i) {
+    if (phase(i) < steps) {
+      run_rows_.push_back(i);
+      for (size_t j = run_rows_.size() - 1; j > 0 && phase(run_rows_[j - 1]) > phase(i); --j) {
+        std::swap(run_rows_[j - 1], run_rows_[j]);
+      }
+    }
+  }
+  for (int period = 0; !run_rows_.empty() && period < steps; period += bt) {
+    for (const int i : run_rows_) {
+      const int step = period + phase(i);
+      if (step >= steps) {
+        break;
+      }
+      kv_.EnsureWritable(slots[static_cast<size_t>(i)],
+                         contexts[static_cast<size_t>(i)] + step);
+    }
+  }
+  for (const int slot : slots) {
+    kv_.AdvanceBy(slot, steps);
+  }
 }
 
 const hrt::StepCost& AnalyticBackend::DraftCost(int batch, int context_bucket) {

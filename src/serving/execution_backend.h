@@ -89,6 +89,18 @@ class ExecutionBackend {
   // `slots[i]`'s current KV length; pricing must reflect these actual contexts.
   virtual StepOutcome Step(std::span<const int> slots, std::span<const int> contexts) = 0;
 
+  // A run of plain decode steps over one unchanged batch (the batcher's macro-step,
+  // docs/performance.md): advances every listed slot by k <= max_steps tokens, where each
+  // of the k steps costs exactly `out` and step j sees contexts[i] + j. Returns k >= 1. The
+  // batcher passes max_steps > 1 only when no admission, completion or preemption can fall
+  // inside the run. `out->tokens` must stay empty when k > 1. The default runs one Step, so
+  // token-producing and decorating backends keep single stepping unchanged.
+  virtual int StepRun(std::span<const int> slots, std::span<const int> contexts,
+                      int max_steps, StepOutcome* out) {
+    *out = Step(slots, contexts);
+    return 1;
+  }
+
   // One speculative decode cycle (docs/speculative_decoding.md): row i drafts gammas[i]
   // tokens with the backend's draft model and the target verifies all gammas[i]+1 positions
   // in ONE batched multi-row step (gamma-0 rows ride the same verify as plain single-row
@@ -201,6 +213,10 @@ class AnalyticBackend : public ExecutionBackend {
                    int charged_prefill_tokens) override;
   void ReleaseSlot(int slot) override;
   StepOutcome Step(std::span<const int> slots, std::span<const int> contexts) override;
+  // Advances up to the last step priced in the current context bucket in one call; single
+  // steps when tiered offload is on (each step's attended blocks are charged separately).
+  int StepRun(std::span<const int> slots, std::span<const int> contexts, int max_steps,
+              StepOutcome* out) override;
   StepOutcome SpeculativeStep(std::span<const int> slots, std::span<const int> contexts,
                               std::span<const int> gammas) override;
   int spec_gamma() const override { return spec_gamma_; }
@@ -247,6 +263,11 @@ class AnalyticBackend : public ExecutionBackend {
   void TrackSlot(int slot, int end_len);
   // Per-row context as priced: windowed rows attend at most ResidentTokens().
   int EffectiveContext(int context) const;
+  // KV accounting for `steps` plain decode steps: every row appends one position per step,
+  // with block allocations in single stepping's (step, row) order.
+  void AppendRun(std::span<const int> slots, std::span<const int> contexts, int steps);
+  // One row's append of positions [from, to) (admission prefill), in the same closed form.
+  void AppendTokens(int slot, int from, int to);
   // Flash streaming for one step over the (effective) contexts: charges the tier for the
   // attended blocks beyond the resident budget and folds the non-overlapped stall into
   // `cost` (cost->total_s must already hold the step's compute time).
@@ -282,6 +303,7 @@ class AnalyticBackend : public ExecutionBackend {
   double offload_stall_s_ = 0.0;
   hkern::AttnWindowSpec window_;
   std::vector<int> eff_contexts_;  // per-step scratch for windowed pricing
+  std::vector<int> run_rows_;      // AppendRun scratch: rows by next block boundary
   std::vector<int> end_len_;           // per slot: context+decode at admission (0 = free)
   std::map<int, Retained> retained_;   // completed job id -> retained stem
   std::map<int, Retained> anchors_;    // prompt_group -> retained prompt prefix

@@ -200,6 +200,101 @@ TEST(KvBlockManagerTest, TruncateOnForkedSequencesPreservesSharingInvariants) {
   EXPECT_EQ(mgr.stats().physical_blocks, 2);
 }
 
+// --- closed-form append runs (the analytic backend's macro-step) ---
+
+// Reference: `steps` decode steps over `seqs`, one position per sequence per step.
+void AppendPerToken(KvBlockManager& mgr, const std::vector<int>& seqs, int steps) {
+  for (int j = 0; j < steps; ++j) {
+    for (const int s : seqs) {
+      mgr.EnsureWritable(s, mgr.length(s));
+      mgr.Advance(s);
+    }
+  }
+}
+
+// Closed form: EnsureWritable only at each sequence's first position and at the block
+// boundaries inside the run, in (step, sequence) order, then one AdvanceBy per sequence.
+void AppendClosedForm(KvBlockManager& mgr, const std::vector<int>& seqs, int steps) {
+  std::vector<int> start;
+  for (const int s : seqs) {
+    start.push_back(mgr.length(s));
+  }
+  for (int j = 0; j < steps; ++j) {
+    for (size_t i = 0; i < seqs.size(); ++i) {
+      const int pos = start[i] + j;
+      if (j == 0 || pos % mgr.block_tokens() == 0) {
+        mgr.EnsureWritable(seqs[i], pos);
+      }
+    }
+  }
+  for (const int s : seqs) {
+    mgr.AdvanceBy(s, steps);
+  }
+}
+
+// A state with every kind of first write: seq 0 owns a partial tail that a retained handle
+// also holds, seqs 1 and 2 map that shared partial tail (each CoW-splits on its first
+// write), seq 3 maps a block-aligned prefix (its first write opens a fresh block), and
+// seq 4 starts empty. A reset beforehand leaves freed ids on the pool's free list, so the
+// allocation order decides which ids each sequence receives.
+void BuildRunState(KvBlockManager& mgr) {
+  AppendPerToken(mgr, {0, 5}, 6);
+  mgr.Reset(5, nullptr);
+  const int64_t h = mgr.Retain(0);
+  mgr.ShareFromHandle(h, 1, 6);
+  mgr.ShareFromHandle(h, 2, 6);
+  mgr.ShareFromHandle(h, 3, 4);
+}
+
+void ExpectSameTables(const KvBlockManager& a, const KvBlockManager& b, int num_seqs) {
+  for (int s = 0; s < num_seqs; ++s) {
+    ASSERT_EQ(a.length(s), b.length(s)) << "seq " << s;
+    ASSERT_EQ(a.table_blocks(s), b.table_blocks(s)) << "seq " << s;
+    for (int i = 0; i < a.table_blocks(s); ++i) {
+      EXPECT_EQ(a.block_at(s, i), b.block_at(s, i)) << "seq " << s << " block " << i;
+    }
+  }
+  const KvStats sa = a.stats();
+  const KvStats sb = b.stats();
+  EXPECT_EQ(sa.physical_blocks, sb.physical_blocks);
+  EXPECT_EQ(sa.peak_physical_blocks, sb.peak_physical_blocks);
+  EXPECT_EQ(sa.logical_blocks, sb.logical_blocks);
+  EXPECT_EQ(sa.peak_logical_blocks, sb.peak_logical_blocks);
+  EXPECT_EQ(sa.cow_splits, sb.cow_splits);
+}
+
+TEST(KvBlockManagerTest, AdvanceByRunMatchesPerTokenAppends) {
+  const std::vector<int> seqs = {0, 1, 2, 3, 4};
+  // 1 step (first writes only), within one block, and runs crossing 2-3 boundaries.
+  for (const int steps : {1, 2, 7, 11}) {
+    KvBlockManager per_token(/*block_tokens=*/4, /*max_blocks=*/0, /*bytes_per_block=*/10);
+    KvBlockManager closed(/*block_tokens=*/4, /*max_blocks=*/0, /*bytes_per_block=*/10);
+    BuildRunState(per_token);
+    BuildRunState(closed);
+    AppendPerToken(per_token, seqs, steps);
+    AppendClosedForm(closed, seqs, steps);
+    SCOPED_TRACE(steps);
+    ExpectSameTables(per_token, closed, 5);
+    // The three sharers of the partial tail each split it on their first write.
+    EXPECT_EQ(closed.stats().cow_splits, 3);
+    // A second run continues from mid-block positions, again identically.
+    AppendPerToken(per_token, {4, 2, 0}, 9);
+    AppendClosedForm(closed, {4, 2, 0}, 9);
+    ExpectSameTables(per_token, closed, 5);
+  }
+}
+
+TEST(KvBlockManagerDeathTest, AdvanceByPastPreparedCapacityAborts) {
+  KvBlockManager mgr(/*block_tokens=*/4, /*max_blocks=*/0, /*bytes_per_block=*/10);
+  mgr.EnsureWritable(0, 0);
+  mgr.AdvanceBy(0, 3);
+  mgr.AdvanceBy(0, 1);  // exactly fills the prepared block
+  EXPECT_EQ(mgr.length(0), 4);
+  EXPECT_DEATH(mgr.AdvanceBy(0, 1), "Advance past the last prepared KV block");
+  mgr.EnsureWritable(0, 4);
+  EXPECT_DEATH(mgr.AdvanceBy(0, 5), "Advance past the last prepared KV block");
+}
+
 TEST(KvBlockManagerTest, BlocksToAdmitCoversRoundingAndAlignedTails) {
   KvBlockManager mgr(32, 0, 1);
   EXPECT_EQ(mgr.BlocksToAdmit(0, 0), 0);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +80,29 @@ TEST(RegistryTest, HistogramBucketPlacement) {
   EXPECT_DOUBLE_EQ(h.sum(), 103.0);
   EXPECT_DOUBLE_EQ(h.min(), 0.5);
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
+}
+
+TEST(RegistryTest, ObserveNMatchesRepeatedObserveBitForBit) {
+  // The batcher's macro-step records a run of k identical steps with one ObserveN; the
+  // snapshot must not tell it apart from k single observations. 0.1 is inexact in binary,
+  // so a sum formed as v * n would differ in the last bits.
+  const std::vector<std::pair<double, int64_t>> series = {
+      {0.1, 7}, {3.3e-5, 13}, {0.1, 1}, {250.0, 3}, {1e-7, 0}, {0.7, 41}};
+  Registry once;
+  Registry repeated;
+  Histogram& a =
+      once.histogram("unit.latency", HistogramBuckets::Exponential(1e-5, 4.0, 12));
+  Histogram& b =
+      repeated.histogram("unit.latency", HistogramBuckets::Exponential(1e-5, 4.0, 12));
+  for (const auto& [v, n] : series) {
+    a.ObserveN(v, n);
+    for (int64_t i = 0; i < n; ++i) {
+      b.Observe(v);
+    }
+  }
+  EXPECT_EQ(a.count(), 65);
+  EXPECT_EQ(once.Snapshot().ToJson().Dump(2), repeated.Snapshot().ToJson().Dump(2));
+  EXPECT_EQ(a.sum(), b.sum());  // exact, not approximately equal
 }
 
 TEST(RegistryTest, ExponentialBucketsGrowByFactor) {

@@ -756,5 +756,276 @@ TEST_F(SpeculativeServingTest, AnalyticSpeculativeSpeedsUpDecodeAndExportsMetric
             r_spec.spec_proposed_tokens - r_spec.spec_accepted_tokens);
 }
 
+// --- analytic macro-stepping (docs/performance.md) ---
+
+// Forwards every call to the wrapped backend but keeps ExecutionBackend's default StepRun,
+// so the batcher single-steps through it: the reference a macro-stepped run must match.
+// Counts the step calls it forwards.
+class ForwardingBackend : public ExecutionBackend {
+ public:
+  explicit ForwardingBackend(ExecutionBackend& inner) : inner_(inner) {}
+
+  const char* name() const override { return inner_.name(); }
+  double AdmitSlot(int slot, const ServeJob& job, int context_tokens,
+                   int charged_prefill_tokens) override {
+    return inner_.AdmitSlot(slot, job, context_tokens, charged_prefill_tokens);
+  }
+  void ReleaseSlot(int slot) override { inner_.ReleaseSlot(slot); }
+  StepOutcome Step(std::span<const int> slots, std::span<const int> contexts) override {
+    ++step_calls;
+    return inner_.Step(slots, contexts);
+  }
+  StepOutcome SpeculativeStep(std::span<const int> slots, std::span<const int> contexts,
+                              std::span<const int> gammas) override {
+    ++step_calls;
+    return inner_.SpeculativeStep(slots, contexts, gammas);
+  }
+  int spec_gamma() const override { return inner_.spec_gamma(); }
+  void RetainKv(int slot, int job_id) override { inner_.RetainKv(slot, job_id); }
+  void DropRetained(int job_id) override { inner_.DropRetained(job_id); }
+  void PauseSlot(int slot, int job_id) override { inner_.PauseSlot(slot, job_id); }
+  void ResumeSlot(int slot, int job_id, int context_tokens) override {
+    inner_.ResumeSlot(slot, job_id, context_tokens);
+  }
+  bool CanResume(int job_id) override { return inner_.CanResume(job_id); }
+  void ReleaseGroup(int prompt_group) override { inner_.ReleaseGroup(prompt_group); }
+  bool CanAdmit(const ServeJob& job, int context_tokens) override {
+    return inner_.CanAdmit(job, context_tokens);
+  }
+  int max_context() const override { return inner_.max_context(); }
+  hkv::KvStats kv_stats() const override { return inner_.kv_stats(); }
+  hquant::KvDtype kv_dtype() const override { return inner_.kv_dtype(); }
+  void ExportMetrics(obs::Registry& registry) const override { inner_.ExportMetrics(registry); }
+
+  int64_t step_calls = 0;
+
+ protected:
+  ExecutionBackend& inner_;
+};
+
+// The same decorator with StepRun forwarded too: macro-steps like the bare backend while
+// counting its calls.
+class RunForwardingBackend : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+  int StepRun(std::span<const int> slots, std::span<const int> contexts, int max_steps,
+              StepOutcome* out) override {
+    ++step_calls;
+    return inner_.StepRun(slots, contexts, max_steps, out);
+  }
+};
+
+// Metrics JSON without the thread pool's process-lifetime counters (exec.pool.*,
+// exec.tasks.*, exec.parallel_for.calls), which other tests in the binary advance.
+std::string RunMetricsJson(obs::MetricsSnapshot m) {
+  const auto pool = [](const std::string& name) {
+    return name.rfind("exec.pool.", 0) == 0 || name.rfind("exec.tasks.", 0) == 0 ||
+           name == "exec.parallel_for.calls";
+  };
+  std::erase_if(m.counters, [&](const obs::CounterSample& c) { return pool(c.name); });
+  std::erase_if(m.gauges, [&](const obs::GaugeSample& g) { return pool(g.name); });
+  return m.ToJson().Dump(2);
+}
+
+void ExpectSameSchedule(const ScheduleResult& a, const ScheduleResult& b) {
+  EXPECT_EQ(a.error, b.error);
+  // Doubles compare exactly: a macro-step repeats single stepping's additions.
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.prefill_s, b.prefill_s);
+  EXPECT_EQ(a.decode_s, b.decode_s);
+  EXPECT_EQ(a.idle_s, b.idle_s);
+  EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
+  EXPECT_EQ(a.avg_active_batch, b.avg_active_batch);
+  EXPECT_EQ(a.avg_context, b.avg_context);
+  EXPECT_EQ(a.slot_utilization, b.slot_utilization);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.flash_s, b.flash_s);
+  EXPECT_EQ(a.flash_bytes, b.flash_bytes);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.decoded_tokens, b.decoded_tokens);
+  EXPECT_EQ(a.prefilled_tokens, b.prefilled_tokens);
+  EXPECT_EQ(a.forked_admissions, b.forked_admissions);
+  EXPECT_EQ(a.admission_deferrals, b.admission_deferrals);
+  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.resumes, b.resumes);
+  EXPECT_EQ(a.spec_cycles, b.spec_cycles);
+  EXPECT_EQ(a.spec_proposed_tokens, b.spec_proposed_tokens);
+  EXPECT_EQ(a.spec_accepted_tokens, b.spec_accepted_tokens);
+  EXPECT_EQ(a.kv.physical_blocks, b.kv.physical_blocks);
+  EXPECT_EQ(a.kv.peak_physical_blocks, b.kv.peak_physical_blocks);
+  EXPECT_EQ(a.kv.logical_blocks, b.kv.logical_blocks);
+  EXPECT_EQ(a.kv.peak_logical_blocks, b.kv.peak_logical_blocks);
+  EXPECT_EQ(a.kv.cow_splits, b.kv.cow_splits);
+  ASSERT_EQ(a.admissions.size(), b.admissions.size());
+  for (size_t i = 0; i < a.admissions.size(); ++i) {
+    EXPECT_EQ(a.admissions[i].job_id, b.admissions[i].job_id) << i;
+    EXPECT_EQ(a.admissions[i].slot, b.admissions[i].slot) << i;
+    EXPECT_EQ(a.admissions[i].step, b.admissions[i].step) << i;
+    EXPECT_EQ(a.admissions[i].time_s, b.admissions[i].time_s) << i;
+    EXPECT_EQ(a.admissions[i].resumed, b.admissions[i].resumed) << i;
+  }
+  ASSERT_EQ(a.completions.size(), b.completions.size());
+  for (size_t i = 0; i < a.completions.size(); ++i) {
+    EXPECT_EQ(a.completions[i].job_id, b.completions[i].job_id) << i;
+    EXPECT_EQ(a.completions[i].slot, b.completions[i].slot) << i;
+    EXPECT_EQ(a.completions[i].step, b.completions[i].step) << i;
+    EXPECT_EQ(a.completions[i].time_s, b.completions[i].time_s) << i;
+  }
+  EXPECT_EQ(a.step_active, b.step_active);
+  EXPECT_EQ(a.step_occupied, b.step_occupied);
+  EXPECT_EQ(a.job_tokens, b.job_tokens);
+  EXPECT_EQ(a.trace.ToChromeJson(), b.trace.ToChromeJson());
+  EXPECT_EQ(RunMetricsJson(a.metrics), RunMetricsJson(b.metrics));
+}
+
+class MacroStepParityTest : public ::testing::Test {
+ protected:
+  MacroStepParityTest() {
+    hrt::EngineOptions eo;
+    eo.model = &hllm::Qwen25_1_5B();
+    eo.device = &hexsim::OnePlus12();
+    engine_ = std::make_unique<hrt::Engine>(eo);
+    hrt::EngineOptions deo;
+    deo.model = &hllm::Qwen25_0_5B();
+    deo.device = &hexsim::OnePlus12();
+    draft_ = std::make_unique<hrt::Engine>(deo);
+  }
+
+  static ServeOptions Traced(int max_batch) {
+    ServeOptions so;
+    so.max_batch = max_batch;
+    so.record_steps = true;
+    so.record_trace = true;
+    so.max_trace_steps = 100000;  // trace every step, so the whole trace is compared
+    return so;
+  }
+
+  static std::vector<ServeJob> BestOfN(int tasks, int n, uint64_t seed) {
+    const htts::TaskSet ts = htts::GenerateTaskSet(htts::Dataset::kMath500, tasks, seed);
+    const htts::OutcomeRewardModel orm;
+    hexllm::Rng rng(seed);
+    std::vector<ServeJob> jobs;
+    htts::RunBestOfN(ts, 0.3, orm, n, 1, rng, &jobs);
+    return jobs;
+  }
+
+  // Runs `jobs` through a fresh backend twice, macro-stepped (bare) and single-stepped
+  // (through ForwardingBackend), expects identical results and returns the bare one.
+  ScheduleResult ExpectParity(const std::vector<ServeJob>& jobs, const ServeOptions& so,
+                              const AnalyticBackend::Options& bo) {
+    AnalyticBackend direct(*engine_, bo);
+    const ScheduleResult r = ContinuousBatcher(direct, so).Run(jobs);
+    AnalyticBackend inner(*engine_, bo);
+    ForwardingBackend single(inner);
+    const ScheduleResult ref = ContinuousBatcher(single, so).Run(jobs);
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_GT(r.steps, 0);
+    EXPECT_EQ(single.step_calls, ref.steps);  // the reference really single-stepped
+    ExpectSameSchedule(r, ref);
+    return r;
+  }
+
+  int64_t BudgetBytes(int64_t blocks) const {
+    return blocks * AnalyticBackend(*engine_).kv_stats().bytes_per_block;
+  }
+
+  std::unique_ptr<hrt::Engine> engine_;
+  std::unique_ptr<hrt::Engine> draft_;
+};
+
+TEST_F(MacroStepParityTest, BestOfNSharedPromptsTakeFarFewerBackendCalls) {
+  const std::vector<ServeJob> jobs = BestOfN(6, 8, 21);
+  const ServeOptions so = Traced(8);
+  const ScheduleResult r = ExpectParity(jobs, so, {});
+  EXPECT_GT(r.kv.peak_logical_blocks, r.kv.peak_physical_blocks);  // prompts shared
+  // The bare backend advanced whole runs per call: a run ends only at a completion or a
+  // context-bucket boundary, so calls are a small fraction of steps.
+  AnalyticBackend inner(*engine_);
+  RunForwardingBackend counted(inner);
+  ExpectSameSchedule(ContinuousBatcher(counted, so).Run(jobs), r);
+  EXPECT_LT(counted.step_calls * 8, r.steps);
+}
+
+TEST_F(MacroStepParityTest, BeamSearchForksAndBarriers) {
+  const htts::TaskSet ts = htts::GenerateTaskSet(htts::Dataset::kMath500, 4, 5);
+  const htts::ProcessRewardModel prm;
+  hexllm::Rng rng(5);
+  std::vector<ServeJob> jobs;
+  htts::RunBeamSearch(ts, 0.3, prm, 8, 4, 1, rng, &jobs);
+  const ScheduleResult r = ExpectParity(jobs, Traced(8), {});
+  EXPECT_GT(r.forked_admissions, 0);
+  EXPECT_GT(r.kv.cow_splits, 0);
+}
+
+TEST_F(MacroStepParityTest, StaticWavesWithPaddingRows) {
+  ServeOptions so = Traced(8);
+  so.policy = SchedulePolicy::kStaticWaves;
+  const ScheduleResult r = ExpectParity(BestOfN(3, 8, 22), so, {});
+  EXPECT_LT(r.slot_utilization, 1.0);  // finished rows rode out their waves as padding
+}
+
+TEST_F(MacroStepParityTest, SlidingWindowCapsPricedContexts) {
+  AnalyticBackend::Options bo;
+  bo.attn_window.sink_blocks = 1;
+  bo.attn_window.window_blocks = 4;
+  // Prompts past the resident set (192 tokens), so some rows are capped and some grow.
+  std::vector<ServeJob> jobs;
+  for (int i = 0; i < 10; ++i) {
+    jobs.push_back(Job(i, 150 + 37 * i, /*group=*/-1, /*prompt=*/40 + 29 * i));
+  }
+  ExpectParity(jobs, Traced(4), bo);
+}
+
+TEST_F(MacroStepParityTest, TieredOffloadSingleSteps) {
+  AnalyticBackend::Options bo;
+  bo.kv_offload_resident_blocks = 24;
+  bo.kv_budget_bytes = BudgetBytes(64);
+  const ScheduleResult r = ExpectParity(BestOfN(3, 8, 23), Traced(8), bo);
+  EXPECT_GT(r.flash_bytes, 0);
+}
+
+TEST_F(MacroStepParityTest, SpeculativeCyclesMixWithPlainRuns) {
+  AnalyticBackend::Options bo;
+  bo.draft_engine = draft_.get();
+  bo.spec_gamma = 4;
+  bo.spec_acceptance = 0.7;
+  std::vector<ServeJob> jobs;
+  for (int i = 0; i < 12; ++i) {
+    ServeJob j = Job(i, 60 + 23 * i, /*group=*/0, /*prompt=*/96);
+    j.speculative = i % 3 == 0;
+    jobs.push_back(j);
+  }
+  const ScheduleResult r = ExpectParity(jobs, Traced(4), bo);
+  EXPECT_GT(r.spec_cycles, 0);
+  EXPECT_LT(r.spec_cycles, r.steps);
+}
+
+TEST_F(MacroStepParityTest, TightKvBudgetDefersAdmissions) {
+  AnalyticBackend::Options bo;
+  bo.kv_budget_bytes = BudgetBytes(120);
+  const ScheduleResult r = ExpectParity(BestOfN(6, 8, 24), Traced(8), bo);
+  EXPECT_GT(r.admission_deferrals, 0);
+}
+
+TEST_F(MacroStepParityTest, PreemptionByPriority) {
+  ServeOptions so = Traced(3);
+  so.enable_preemption = true;
+  // A high-priority group's second round becomes ready mid-run, while low-priority
+  // singletons hold the other slots: admitting it pauses one of them.
+  std::vector<ServeJob> jobs = {Job(0, 30, /*group=*/0, /*prompt=*/64)};
+  for (int i = 1; i <= 3; ++i) {
+    jobs.push_back(Job(i, 50, /*group=*/0, /*prompt=*/64, /*context=*/30, /*barrier=*/1));
+  }
+  for (int i = 4; i < 10; ++i) {
+    jobs.push_back(Job(i, 90 + 31 * i, /*group=*/-1, /*prompt=*/16 * i));
+  }
+  for (ServeJob& j : jobs) {
+    j.priority = j.prompt_group == 0 ? 2 : 0;
+  }
+  const ScheduleResult r = ExpectParity(jobs, so, {});
+  EXPECT_GT(r.preemptions, 0);
+  EXPECT_GT(r.resumes, 0);
+}
+
 }  // namespace
 }  // namespace hserve
