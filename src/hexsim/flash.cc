@@ -1,19 +1,14 @@
 #include "src/hexsim/flash.h"
 
-#include <cstdlib>
+#include "src/base/env.h"
 
 namespace hexsim {
 
 FlashSpec FlashSpecFromEnv(FlashSpec spec) {
-  const char* v = std::getenv("HEXLLM_KV_OFFLOAD_GBPS");
-  if (v != nullptr && v[0] != '\0') {
-    char* end = nullptr;
-    const double gbps = std::strtod(v, &end);
-    if (end != v && gbps > 0.0) {
-      const double ratio = spec.write_gbps / spec.read_gbps;
-      spec.read_gbps = gbps;
-      spec.write_gbps = gbps * ratio;
-    }
+  if (hexllm::EnvKnob("HEXLLM_KV_OFFLOAD_GBPS") != nullptr) {
+    const double ratio = spec.write_gbps / spec.read_gbps;
+    spec.read_gbps = hexllm::EnvPositive("HEXLLM_KV_OFFLOAD_GBPS", spec.read_gbps);
+    spec.write_gbps = spec.read_gbps * ratio;
   }
   return spec;
 }

@@ -28,7 +28,8 @@ struct FlashSpec {
 };
 
 // HEXLLM_KV_OFFLOAD_GBPS=<gbps> overrides read_gbps; write bandwidth scales by the same
-// factor so the read/write asymmetry of the base spec is preserved.
+// factor so the read/write asymmetry of the base spec is preserved. <gbps> must be a
+// finite number > 0; anything else CHECK-fails naming the variable.
 FlashSpec FlashSpecFromEnv(FlashSpec spec = FlashSpec());
 
 struct FlashStats {

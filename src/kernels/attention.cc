@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/env.h"
 #include "src/base/math_util.h"
 #include "src/exec/thread_pool.h"
 #include "src/hexsim/hmx.h"
@@ -412,12 +412,8 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
 }  // namespace
 
 AttnWindowSpec AttnWindowFromEnv(AttnWindowSpec spec) {
-  if (const char* s = std::getenv("HEXLLM_ATTN_SINK_BLOCKS"); s != nullptr && *s != '\0') {
-    spec.sink_blocks = std::atoi(s);
-  }
-  if (const char* s = std::getenv("HEXLLM_ATTN_WINDOW_BLOCKS"); s != nullptr && *s != '\0') {
-    spec.window_blocks = std::atoi(s);
-  }
+  spec.sink_blocks = hexllm::EnvInt("HEXLLM_ATTN_SINK_BLOCKS", spec.sink_blocks, 0);
+  spec.window_blocks = hexllm::EnvInt("HEXLLM_ATTN_WINDOW_BLOCKS", spec.window_blocks, 0);
   return spec;
 }
 

@@ -71,8 +71,9 @@ struct AttnWindowSpec {
   int ResidentTokens() const { return (sink_blocks + window_blocks + 1) * block_tokens; }
 };
 
-// Builds an AttnWindowSpec from HEXLLM_ATTN_SINK_BLOCKS / HEXLLM_ATTN_WINDOW_BLOCKS
-// (window disabled when the window var is unset or <= 0), overriding `spec`.
+// Builds an AttnWindowSpec from HEXLLM_ATTN_SINK_BLOCKS / HEXLLM_ATTN_WINDOW_BLOCKS,
+// overriding `spec` (a window of 0 blocks disables it). Each must be an integer >= 0;
+// anything else CHECK-fails naming the variable.
 AttnWindowSpec AttnWindowFromEnv(AttnWindowSpec spec = AttnWindowSpec());
 
 // Appends to `out` the KV-cache table-block indices a windowed FlashAttention call over

@@ -107,8 +107,9 @@ class KvBlockManager {
   void Reserve(int num_seqs, int blocks_per_seq);
 
   // Releases every block reference the sequence holds. Blocks whose last reference dropped
-  // are appended to `freed` (nullable).
-  void Reset(int seq, std::vector<int>* freed);
+  // are appended to `freed` (nullable). Named like hkv::PagedKvCache's call, so
+  // hserve::KvResidency drives either table owner.
+  void ResetSeq(int seq, std::vector<int>* freed = nullptr);
 
   // Shrinks `seq` to `new_len` positions (the speculative-decode rollback primitive): whole
   // tail blocks past ceil(new_len / block_tokens) are Unref'd (last-owner blocks appended to
@@ -130,7 +131,7 @@ class KvBlockManager {
   // too — the first append into it CoW-splits.
   void ShareFromHandle(int64_t handle, int dst, int len);
 
-  void DropHandle(int64_t handle, std::vector<int>* freed);
+  void DropHandle(int64_t handle, std::vector<int>* freed = nullptr);
 
   // Blocks a fresh admission will newly allocate to grow from `shared_tokens` of mapped
   // prefix to `total_tokens`, including the CoW split of a partial shared tail.

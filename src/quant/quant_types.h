@@ -9,9 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
+#include "src/base/env.h"
 #include "src/base/fp16.h"
 #include "src/base/math_util.h"
 
@@ -131,22 +130,10 @@ inline int64_t KvRowBytes(KvDtype d, int64_t row_elems, int group) {
 
 // Escape hatch: HEXLLM_KV_DTYPE=f16|int8|int4 overrides the configured KV dtype (e.g. to
 // force a quantized deployment back to F16 when chasing an accuracy regression). Unset or
-// unrecognized values keep `configured`.
+// empty keeps `configured`; any other value CHECK-fails.
 inline KvDtype KvDtypeFromEnv(KvDtype configured) {
-  const char* s = std::getenv("HEXLLM_KV_DTYPE");
-  if (s == nullptr || *s == '\0') {
-    return configured;
-  }
-  if (std::strcmp(s, "f16") == 0) {
-    return KvDtype::kF16;
-  }
-  if (std::strcmp(s, "int8") == 0) {
-    return KvDtype::kInt8;
-  }
-  if (std::strcmp(s, "int4") == 0) {
-    return KvDtype::kInt4;
-  }
-  return configured;
+  return static_cast<KvDtype>(hexllm::EnvChoice("HEXLLM_KV_DTYPE", static_cast<int>(configured),
+                                                {"f16", "int8", "int4"}));
 }
 
 // Quantizes `group` consecutive floats into an INT4 KV payload group, returning the F16

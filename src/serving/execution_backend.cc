@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "src/base/check.h"
+#include "src/base/env.h"
 #include "src/base/math_util.h"
 #include "src/hexsim/rpcmem.h"
 #include "src/kernels/attention.h"
@@ -40,19 +40,18 @@ int SyntheticToken(int job_id, int pos, int vocab) {
       static_cast<uint32_t>(vocab));
 }
 
+// The state parked with a fork stem or a group anchor: only the token a row mapping it
+// consumes first (the row's sampler and Rng come from its own job).
+DecodeState NextToken(int token) {
+  DecodeState s;
+  s.last_token = token;
+  return s;
+}
+
 }  // namespace
 
 int SpecGammaFromEnv(int configured) {
-  const char* env = std::getenv("HEXLLM_SPEC_GAMMA");
-  if (env == nullptr || *env == '\0') {
-    return std::max(0, configured);
-  }
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 0) {
-    return std::max(0, configured);
-  }
-  return static_cast<int>(v);
+  return hexllm::EnvInt("HEXLLM_SPEC_GAMMA", std::max(0, configured), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,109 +152,39 @@ void AnalyticBackend::ExportMetrics(obs::Registry& registry) const {
 
 int AnalyticBackend::max_context() const { return engine_.options().context_budget; }
 
-void AnalyticBackend::TrackSlot(int slot, int end_len) {
-  HEXLLM_CHECK(slot >= 0);
-  if (slot >= static_cast<int>(end_len_.size())) {
-    end_len_.resize(static_cast<size_t>(slot) + 1, 0);
-  }
-  end_len_[static_cast<size_t>(slot)] = end_len;
+int64_t AnalyticBackend::FreeBlocks() const {
+  // Tiered offload: DRAM holds only the resident working set and the flash store backs
+  // everything else, so the budget no longer gates admission — the cost shows up as flash
+  // traffic and stall in ChargeOffload instead of a deferral.
+  return budget_blocks_ < 0 || offload_blocks_ > 0 ? kUngatedBlocks
+                                                   : budget_blocks_ - kv_.stats().physical_blocks;
 }
 
-int AnalyticBackend::SharedPrefixLen(const ServeJob& job, int context_tokens) const {
-  if (job.parent_job >= 0) {
-    const auto it = retained_.find(job.parent_job);
-    return it != retained_.end() ? std::min(it->second.len, context_tokens) : 0;
-  }
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      return std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-    }
-  }
-  return 0;
-}
-
-bool AnalyticBackend::CanAdmit(const ServeJob& job, int context_tokens) {
-  if (budget_blocks_ < 0) {
-    return true;
-  }
-  if (offload_blocks_ > 0) {
-    // Tiered offload: DRAM holds only the resident working set and the flash store backs
-    // everything else, so the DRAM budget no longer gates admission — the cost shows up as
-    // flash traffic and stall in ChargeOffload instead of a rejection here.
-    return true;
-  }
+int64_t AnalyticBackend::ResidentCap() const {
   // With a sliding window only sinks + window + the active block must ever be resident;
   // the masked interior could live anywhere (or nowhere), so admission prices the capped
   // working set instead of the full context.
-  const int64_t resident_cap =
-      window_.enabled()
-          ? hexllm::CeilDiv(window_.ResidentTokens(), window_.block_tokens) + 1
-          : INT64_MAX;
-  const int64_t needed =
-      std::min(resident_cap, kv_.BlocksToAdmit(context_tokens + job.decode_tokens,
-                                               SharedPrefixLen(job, context_tokens)));
-  // Reserve worst-case growth (plus a pending CoW tail split) for every running slot, so an
-  // admission never starves a slot that already committed to decode to its end length.
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv_.block_tokens());
-    const int64_t growth =
-        std::min(resident_cap, std::max<int64_t>(0, want - kv_.table_blocks(static_cast<int>(s))));
-    reserved += growth + (kv_.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  const int64_t free = budget_blocks_ - kv_.stats().physical_blocks;
-  return free - reserved >= needed;
+  return window_.enabled() ? hexllm::CeilDiv(window_.ResidentTokens(), window_.block_tokens) + 1
+                           : kNoResidentCap;
+}
+
+bool AnalyticBackend::CanAdmit(const ServeJob& job, int context_tokens) {
+  return residency_.CanAdmit(job, context_tokens, FreeBlocks(), ResidentCap());
+}
+
+bool AnalyticBackend::CanResume(int job_id) {
+  return residency_.CanResume(job_id, FreeBlocks(), ResidentCap());
 }
 
 double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tokens,
                                   int charged_prefill_tokens) {
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, context_tokens + job.decode_tokens);
-
-  if (job.parent_job >= 0) {
-    // Fork: map the parent's retained stem copy-on-write — no token of it is re-prefilled.
-    // Tokens PAST the parent's length (a session's new turn) append fresh and run through
-    // the charged chunked prefill below.
-    const auto it = retained_.find(job.parent_job);
-    HEXLLM_CHECK_MSG(it != retained_.end(), "fork admitted before its parent was retained");
-    const int shared = it->second.len;
-    HEXLLM_CHECK_MSG(shared <= context_tokens,
-                     "fork context must cover the parent's final KV length");
-    kv_.ShareFromHandle(it->second.handle, slot, shared);
-    AppendTokens(slot, shared, context_tokens);
-    if (charged_prefill_tokens <= 0) {
-      return 0.0;
-    }
-    auto [pit, inserted] = prefill_cache_.try_emplace(charged_prefill_tokens, 0.0);
-    if (inserted) {
-      pit->second = engine_.Prefill(charged_prefill_tokens).total_s;
-    }
-    return pit->second;
+  // Map the fork stem or the group's resident prompt prefix; account the rest as freshly
+  // appended blocks (the chunked prefill the charged pricing below models).
+  const auto mapped = residency_.Admit(slot, job, context_tokens);
+  AppendTokens(slot, mapped.shared, context_tokens);
+  if (mapped.anchor_len > 0) {
+    residency_.Anchor(slot, job.prompt_group, mapped.anchor_len, {});
   }
-
-  // Map the group's shared prompt prefix when it is already resident; account the rest as
-  // freshly appended blocks (the chunked prefill the charged pricing below models).
-  int shared = 0;
-  bool make_anchor = false;
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      shared = std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-      kv_.ShareFromHandle(it->second.handle, slot, shared);
-    } else {
-      make_anchor = true;
-    }
-  }
-  AppendTokens(slot, shared, context_tokens);
-  if (make_anchor) {
-    const int len = std::min(GroupPrefixLen(job), context_tokens);
-    anchors_.emplace(job.prompt_group, Retained{kv_.Retain(slot, len), len});
-  }
-
   if (charged_prefill_tokens <= 0) {
     return 0.0;
   }
@@ -266,77 +195,18 @@ double AnalyticBackend::AdmitSlot(int slot, const ServeJob& job, int context_tok
   return it->second;
 }
 
-void AnalyticBackend::ReleaseSlot(int slot) {
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, 0);
-}
+void AnalyticBackend::ReleaseSlot(int slot) { residency_.Release(slot); }
 
-void AnalyticBackend::RetainKv(int slot, int job_id) {
-  const auto [it, inserted] =
-      retained_.emplace(job_id, Retained{kv_.Retain(slot, -1), kv_.length(slot)});
-  HEXLLM_CHECK_MSG(inserted, "job retained twice");
-}
+void AnalyticBackend::RetainKv(int slot, int job_id) { residency_.Retain(slot, job_id, {}); }
 
-void AnalyticBackend::DropRetained(int job_id) {
-  const auto it = retained_.find(job_id);
-  HEXLLM_CHECK(it != retained_.end());
-  kv_.DropHandle(it->second.handle, nullptr);
-  retained_.erase(it);
-}
+void AnalyticBackend::DropRetained(int job_id) { residency_.DropRetained(job_id); }
 
-void AnalyticBackend::ReleaseGroup(int prompt_group) {
-  const auto it = anchors_.find(prompt_group);
-  if (it == anchors_.end()) {
-    return;
-  }
-  kv_.DropHandle(it->second.handle, nullptr);
-  anchors_.erase(it);
-}
+void AnalyticBackend::ReleaseGroup(int prompt_group) { residency_.ReleaseGroup(prompt_group); }
 
-void AnalyticBackend::PauseSlot(int slot, int job_id) {
-  const auto [it, inserted] = paused_.emplace(
-      job_id, Paused{kv_.Retain(slot, -1), kv_.length(slot), end_len_[static_cast<size_t>(slot)]});
-  HEXLLM_CHECK_MSG(inserted, "job paused twice");
-  kv_.Reset(slot, nullptr);
-  TrackSlot(slot, 0);
-}
+void AnalyticBackend::PauseSlot(int slot, int job_id) { residency_.Pause(slot, job_id, {}); }
 
 void AnalyticBackend::ResumeSlot(int slot, int job_id, int context_tokens) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  HEXLLM_CHECK(it->second.len == context_tokens);
-  // Map the snapshot back, then drop the handle: the slot's own block references keep every
-  // page alive, and with the handle gone the tail block's refcount returns to 1 — the next
-  // append extends it in place with NO copy-on-write split, exactly as if the job had never
-  // been paused. That is what keeps block statistics identical to an un-preempted run.
-  kv_.ShareFromHandle(it->second.handle, slot, context_tokens);
-  kv_.DropHandle(it->second.handle, nullptr);
-  TrackSlot(slot, it->second.end_len);
-  paused_.erase(it);
-}
-
-bool AnalyticBackend::CanResume(int job_id) {
-  if (budget_blocks_ < 0 || offload_blocks_ > 0) {
-    return true;  // see CanAdmit: the flash tier backs any overflow
-  }
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  // The paused pages are already resident; only growth to the committed end length needs
-  // headroom (plus one block of tail slack, mirroring CanAdmit's reservation rule).
-  const int64_t needed =
-      hexllm::CeilDiv(it->second.end_len, kv_.block_tokens()) -
-      hexllm::CeilDiv(it->second.len, kv_.block_tokens()) + 1;
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv_.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv_.table_blocks(static_cast<int>(s))) +
-                (kv_.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  const int64_t free = budget_blocks_ - kv_.stats().physical_blocks;
-  return free - reserved >= needed;
+  residency_.Resume(slot, job_id, context_tokens);
 }
 
 const hrt::StepCost& AnalyticBackend::BucketedCost(int batch, int context) {
@@ -545,10 +415,7 @@ FunctionalBackend::FunctionalBackend(hexsim::NpuDevice& dev, const hllm::ModelWe
       tf_(dev, weights, max_batch, max_context, kv_pool_blocks, kv_dtype, kv_quant_group,
           spec.draft != nullptr ? max_batch * (SpecGammaFromEnv(spec.gamma) + 1) : 0),
       max_context_(max_context),
-      last_token_(static_cast<size_t>(max_batch), 1),
-      sampler_opts_(static_cast<size_t>(max_batch)),
-      sampler_rng_(static_cast<size_t>(max_batch), hexllm::Rng(0)),
-      end_len_(static_cast<size_t>(max_batch), 0),
+      rows_(static_cast<size_t>(max_batch)),
       spec_gamma_(spec.draft != nullptr ? SpecGammaFromEnv(spec.gamma) : 0) {
   const size_t verify_rows =
       static_cast<size_t>(max_batch) * (spec_gamma_ > 0 ? spec_gamma_ + 1 : 1);
@@ -625,34 +492,14 @@ void FunctionalBackend::FoldOffload(const hkv::KvOffloadStats& mark, std::span<c
   cost->total_s += stall;  // only the non-overlapped remainder of the reads stalls the step
 }
 
-int FunctionalBackend::SharedPrefixLen(const ServeJob& job, int context_tokens) const {
-  if (job.parent_job >= 0) {
-    const auto it = retained_.find(job.parent_job);
-    return it != retained_.end() ? std::min(it->second.len, context_tokens) : 0;
-  }
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      return std::min({it->second.len, GroupPrefixLen(job), context_tokens});
-    }
-  }
-  return 0;
+bool FunctionalBackend::CanAdmit(const ServeJob& job, int context_tokens) {
+  // The pool stays a hard limit even under offload, and it stores masked window blocks
+  // too, so the free list gates admission with no resident cap.
+  return residency_.CanAdmit(job, context_tokens, tf_.kv().free_blocks(), kNoResidentCap);
 }
 
-bool FunctionalBackend::CanAdmit(const ServeJob& job, int context_tokens) {
-  const hllm::KvCache& kv = tf_.kv();
-  const int64_t needed = kv.BlocksToAdmit(context_tokens + job.decode_tokens,
-                                          SharedPrefixLen(job, context_tokens));
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv.table_blocks(static_cast<int>(s))) +
-                (kv.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  return kv.free_blocks() - reserved >= needed;
+bool FunctionalBackend::CanResume(int job_id) {
+  return residency_.CanResume(job_id, tf_.kv().free_blocks(), kNoResidentCap);
 }
 
 double FunctionalBackend::AdmitSlot(int slot, const ServeJob& job, int context_tokens,
@@ -697,41 +544,36 @@ double FunctionalBackend::AdmitDraft(int slot, int job_id, bool speculative,
 
 double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context_tokens,
                                       int /*charged_prefill_tokens*/) {
-  HEXLLM_CHECK(slot >= 0 && slot < static_cast<int>(last_token_.size()));
+  HEXLLM_CHECK(slot >= 0 && slot < static_cast<int>(rows_.size()));
   HEXLLM_CHECK(context_tokens + job.decode_tokens <= max_context_);
-  hllm::KvCache& kv = tf_.kv();
-  kv.ResetSeq(slot);
+  // A fork's KV starts as the parent's retained stem, and a group sample's as the prompt
+  // prefix the group's first admission materialized — both mapped block-for-block (stored
+  // once; the first divergent append copy-on-write splits the tail). Only the remainder (a
+  // session's new turn, a beam prefix, or a whole prompt on the group's first admission)
+  // runs through the chunked prefill pipeline.
+  const auto mapped = residency_.Admit(slot, job, context_tokens);
   const hkv::KvOffloadStats omark = BeginOffloadStep();
-  end_len_[static_cast<size_t>(slot)] = context_tokens + job.decode_tokens;
   // Per-request sampling policy, seeded at admission. Sampling is consumed on the
   // bookkeeping thread in Step, so the token stream is deterministic at any thread count.
-  sampler_opts_[static_cast<size_t>(slot)] = job.sampler;
-  sampler_rng_[static_cast<size_t>(slot)] = hexllm::Rng(job.seed);
+  DecodeState& row = rows_[static_cast<size_t>(slot)];
+  row.sampler = job.sampler;
+  row.rng = hexllm::Rng(job.seed);
   const int vocab = tf_.config().vocab;
-
-  if (job.parent_job >= 0) {
-    // Fork: the child's KV starts as the parent's retained stem, mapped block-for-block
-    // (the first divergent append copy-on-write splits the tail; none of it is
-    // re-prefilled). Tokens PAST the parent's length — a dialog session's new turn — are
-    // fresh and run through the chunked prefill like any prompt.
-    const auto it = retained_.find(job.parent_job);
-    HEXLLM_CHECK_MSG(it != retained_.end(), "fork admitted before its parent was retained");
-    const int shared = it->second.len;
-    HEXLLM_CHECK_MSG(shared <= context_tokens,
-                     "fork context must cover the parent's final KV length");
-    kv.ShareFromHandle(it->second.handle, slot, shared);
-    const int fresh = context_tokens - shared;
-    if (fresh == 0) {
-      last_token_[static_cast<size_t>(slot)] = it->second.last_token;
-      return 0.0;
-    }
+  const int fresh = context_tokens - mapped.shared;
+  double admit_s = 0.0;
+  if (fresh > 0) {
+    // Synthetic but deterministic per (job, absolute position), so reruns reproduce
+    // token-for-token. Mapped positions keep the tokens of the job that prefilled them;
+    // positions past `shared` use this job's.
     std::vector<int> prompt(static_cast<size_t>(fresh));
     for (int i = 0; i < fresh; ++i) {
-      prompt[static_cast<size_t>(i)] = SyntheticToken(job.id, shared + i, vocab);
+      prompt[static_cast<size_t>(i)] = SyntheticToken(job.id, mapped.shared + i, vocab);
     }
     const hexsim::CycleLedger mark = dev_.ledger();
     tf_.Prefill(slot, prompt);
-    last_token_[static_cast<size_t>(slot)] = prompt.back();
+    row.last_token = prompt.back();
+    // Prefill's critical path: overlapped engine busy time plus one mailbox round trip per
+    // 32-token chunk (mirrors Engine::Prefill's comm model). No lm_head — logits discarded.
     hrt::StepCost cost;
     const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
     // Demote the freshly-admitted context down to the resident budget and absorb any
@@ -739,66 +581,23 @@ double FunctionalBackend::AdmitTarget(int slot, const ServeJob& job, int context
     FoldOffload(omark, std::span<const int>(&slot, 1),
                 std::span<const int>(&context_tokens, 1), npu_s, &cost);
     const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
-    return npu_s + cost.total_s +
-           chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
-  }
-  if (context_tokens == 0) {
-    // Nothing to prefill: decode starts from a fixed BOS-like token.
-    last_token_[static_cast<size_t>(slot)] = 1 % vocab;
-    return 0.0;
-  }
-
-  // Map the group's prompt prefix if a previous admission materialized it — later samples
-  // of the group attend to the SAME physical prompt KV the first sample prefilled (stored
-  // once). Only the remainder (a beam prefix, or a whole prompt on the group's first
-  // admission) runs through the chunked prefill pipeline.
-  const Retained* anchor = nullptr;
-  int shared = 0;
-  if (GroupPrefixLen(job) > 0) {
-    const auto it = anchors_.find(job.prompt_group);
-    if (it != anchors_.end()) {
-      anchor = &it->second;
-      shared = std::min({anchor->len, GroupPrefixLen(job), context_tokens});
-      kv.ShareFromHandle(anchor->handle, slot, shared);
-    }
-  }
-  const int fresh = context_tokens - shared;
-  double admit_s = 0.0;
-  if (fresh > 0) {
-    // Synthetic but deterministic per (job, absolute position), so reruns reproduce
-    // token-for-token. The group's prompt positions use the first-admitted job's tokens
-    // (they are the shared prefix); positions past `shared` use this job's.
-    std::vector<int> prompt(static_cast<size_t>(fresh));
-    for (int i = 0; i < fresh; ++i) {
-      prompt[static_cast<size_t>(i)] = SyntheticToken(job.id, shared + i, vocab);
-    }
-    const hexsim::CycleLedger mark = dev_.ledger();
-    tf_.Prefill(slot, prompt);
-    last_token_[static_cast<size_t>(slot)] = prompt.back();
-    // Prefill's critical path: overlapped engine busy time plus one mailbox round trip per
-    // 32-token chunk (mirrors Engine::Prefill's comm model). No lm_head — logits discarded.
-    hrt::StepCost cost;
-    const double npu_s = ComposeStep(mark, /*batch=*/0, &cost);
-    FoldOffload(omark, std::span<const int>(&slot, 1),
-                std::span<const int>(&context_tokens, 1), npu_s, &cost);
-    const int chunks = static_cast<int>(hexllm::CeilDiv(fresh, hkern::kAttnQTile));
     admit_s = npu_s + cost.total_s +
               chunks * (2 * hexsim::NpuSession::kMailboxLatencySeconds + 30e-6);
   } else {
-    last_token_[static_cast<size_t>(slot)] = anchor->last_token;
+    // Nothing to prefill: continue from the mapped KV's last token, or start an empty
+    // context from a fixed BOS-like token.
+    row.last_token = mapped.state != nullptr ? mapped.state->last_token : 1 % vocab;
   }
-  if (anchor == nullptr && GroupPrefixLen(job) > 0) {
+  if (mapped.anchor_len > 0) {
     // First admission of the group: retain the prompt prefix so every later sample maps it.
-    const int len = std::min(GroupPrefixLen(job), context_tokens);
-    anchors_.emplace(job.prompt_group,
-                     Retained{kv.Retain(slot, len), len, SyntheticToken(job.id, len - 1, vocab)});
+    residency_.Anchor(slot, job.prompt_group, mapped.anchor_len,
+                      NextToken(SyntheticToken(job.id, mapped.anchor_len - 1, vocab)));
   }
   return admit_s;
 }
 
 void FunctionalBackend::ReleaseSlot(int slot) {
-  tf_.kv().ResetSeq(slot);
-  end_len_[static_cast<size_t>(slot)] = 0;
+  residency_.Release(slot);
   if (draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)]) {
     draft_->kv().ResetSeq(slot);
     spec_slot_[static_cast<size_t>(slot)] = false;
@@ -807,95 +606,39 @@ void FunctionalBackend::ReleaseSlot(int slot) {
 }
 
 void FunctionalBackend::RetainKv(int slot, int job_id) {
-  hllm::KvCache& kv = tf_.kv();
-  const auto [it, inserted] = retained_.emplace(
-      job_id,
-      Retained{kv.Retain(slot, -1), kv.length(slot), last_token_[static_cast<size_t>(slot)]});
-  HEXLLM_CHECK_MSG(inserted, "job retained twice");
+  residency_.Retain(slot, job_id, NextToken(rows_[static_cast<size_t>(slot)].last_token));
 }
 
-void FunctionalBackend::DropRetained(int job_id) {
-  const auto it = retained_.find(job_id);
-  HEXLLM_CHECK(it != retained_.end());
-  tf_.kv().DropHandle(it->second.handle);
-  retained_.erase(it);
-}
+void FunctionalBackend::DropRetained(int job_id) { residency_.DropRetained(job_id); }
 
-void FunctionalBackend::ReleaseGroup(int prompt_group) {
-  const auto it = anchors_.find(prompt_group);
-  if (it == anchors_.end()) {
-    return;
-  }
-  tf_.kv().DropHandle(it->second.handle);
-  anchors_.erase(it);
-}
+void FunctionalBackend::ReleaseGroup(int prompt_group) { residency_.ReleaseGroup(prompt_group); }
 
 void FunctionalBackend::PauseSlot(int slot, int job_id) {
-  hllm::KvCache& kv = tf_.kv();
-  Paused p;
-  p.handle = kv.Retain(slot, -1);
-  p.len = kv.length(slot);
-  p.last_token = last_token_[static_cast<size_t>(slot)];
-  p.end_len = end_len_[static_cast<size_t>(slot)];
-  p.opts = sampler_opts_[static_cast<size_t>(slot)];
-  p.rng = sampler_rng_[static_cast<size_t>(slot)];  // exact sampler state at the pause point
+  // The parked copy holds the exact sampler Rng state at the pause point (hexllm::Rng
+  // copies are state snapshots), which is what makes the resumed stream bit-identical for
+  // stochastic sampling policies, not just greedy.
+  DecodeState state = rows_[static_cast<size_t>(slot)];
   // Draft KV is NOT snapshotted: it is rebuilt from the synthetic context view at resume.
   // A different draft conditioning can only change acceptance (cycle timing), never the
   // committed token stream — losslessness keeps pause/resume bit-identical regardless.
-  p.speculative = draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)];
-  if (p.speculative) {
+  state.speculative = draft_ != nullptr && spec_slot_[static_cast<size_t>(slot)];
+  if (state.speculative) {
     draft_->kv().ResetSeq(slot);
     spec_slot_[static_cast<size_t>(slot)] = false;
     draft_carry_[static_cast<size_t>(slot)] = -1;
   }
-  const auto [it, inserted] = paused_.emplace(job_id, std::move(p));
-  HEXLLM_CHECK_MSG(inserted, "job paused twice");
-  kv.ResetSeq(slot);  // the handle's references keep every page resident
-  end_len_[static_cast<size_t>(slot)] = 0;
+  residency_.Pause(slot, job_id, std::move(state));
 }
 
 void FunctionalBackend::ResumeSlot(int slot, int job_id, int context_tokens) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  HEXLLM_CHECK(it->second.len == context_tokens);
-  hllm::KvCache& kv = tf_.kv();
-  // Map the snapshot back, then drop the handle: the slot's own references keep the pages
-  // alive, and the tail block's refcount returns to 1 so the next append extends in place —
-  // no copy-on-write split, block statistics identical to an un-preempted run.
-  kv.ShareFromHandle(it->second.handle, slot, context_tokens);
-  kv.DropHandle(it->second.handle);
-  last_token_[static_cast<size_t>(slot)] = it->second.last_token;
-  end_len_[static_cast<size_t>(slot)] = it->second.end_len;
-  sampler_opts_[static_cast<size_t>(slot)] = it->second.opts;
-  sampler_rng_[static_cast<size_t>(slot)] = it->second.rng;
-  const bool speculative = it->second.speculative;
-  paused_.erase(it);
-  if (speculative) {
+  DecodeState& row = rows_[static_cast<size_t>(slot)];
+  row = residency_.Resume(slot, job_id, context_tokens);
+  if (row.speculative) {
     // Re-prime the draft from the synthetic context view (the pause dropped its KV).
     // Resume is charged as free (mirroring the mapped-KV target resume), so the returned
     // prefill cost is discarded; the next cycle's ledger mark is taken after this runs.
     AdmitDraft(slot, job_id, /*speculative=*/true, context_tokens);
   }
-}
-
-bool FunctionalBackend::CanResume(int job_id) {
-  const auto it = paused_.find(job_id);
-  HEXLLM_CHECK_MSG(it != paused_.end(), "resume of a job that was never paused");
-  const hllm::KvCache& kv = tf_.kv();
-  // The paused pages are already resident; only growth to the committed end length needs
-  // headroom (plus one block of tail slack, mirroring CanAdmit's reservation rule).
-  const int64_t needed = hexllm::CeilDiv(it->second.end_len, kv.block_tokens()) -
-                         hexllm::CeilDiv(it->second.len, kv.block_tokens()) + 1;
-  int64_t reserved = 0;
-  for (size_t s = 0; s < end_len_.size(); ++s) {
-    if (end_len_[s] <= 0) {
-      continue;
-    }
-    const int64_t want = hexllm::CeilDiv(end_len_[s], kv.block_tokens());
-    reserved += std::max<int64_t>(0, want - kv.table_blocks(static_cast<int>(s))) +
-                (kv.TailShared(static_cast<int>(s)) ? 1 : 0);
-  }
-  return kv.free_blocks() - reserved >= needed;
 }
 
 StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const int> contexts) {
@@ -906,7 +649,7 @@ StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const 
   for (int i = 0; i < batch; ++i) {
     const int slot = slots[static_cast<size_t>(i)];
     HEXLLM_DCHECK(tf_.kv().length(slot) == contexts[static_cast<size_t>(i)]);
-    tokens[static_cast<size_t>(i)] = last_token_[static_cast<size_t>(slot)];
+    tokens[static_cast<size_t>(i)] = rows_[static_cast<size_t>(slot)].last_token;
   }
   // Flip to the buffer the PREVIOUS step did not write: its logits stay intact while the
   // NPU fills this one, which is what lets the batcher overlap the previous step's CPU
@@ -926,13 +669,13 @@ StepOutcome FunctionalBackend::Step(std::span<const int> slots, std::span<const 
     // Every decode path samples through the one sampler entry point: the per-slot policy
     // seeded at admission. The default policy is greedy (temperature 0), where SampleToken
     // reduces to the old argmax without consuming Rng state — token checksums unchanged.
-    const int slot = slots[static_cast<size_t>(i)];
+    DecodeState& row = rows_[static_cast<size_t>(slots[static_cast<size_t>(i)])];
     const int tok = hllm::SampleToken(
         std::span<const float>(logits_vec.data() + static_cast<size_t>(i) * vocab,
                                static_cast<size_t>(vocab)),
-        sampler_opts_[static_cast<size_t>(slot)], sampler_rng_[static_cast<size_t>(slot)]);
+        row.sampler, row.rng);
     out.tokens[static_cast<size_t>(i)] = tok;
-    last_token_[static_cast<size_t>(slot)] = tok;
+    row.last_token = tok;
   }
   return out;
 }
@@ -977,7 +720,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
     }
     HEXLLM_DCHECK(draft_->kv().length(static_cast<int>(slot)) ==
                   contexts[static_cast<size_t>(i)]);
-    draft_prev_[slot] = last_token_[slot];
+    draft_prev_[slot] = rows_[slot].last_token;
     spec_proposals_[slot].clear();
   }
 
@@ -1021,7 +764,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
   for (int i = 0; i < batch; ++i) {
     const size_t slot = static_cast<size_t>(slots[static_cast<size_t>(i)]);
     const int g = gammas[static_cast<size_t>(i)];
-    spec_tokens_.push_back(last_token_[slot]);
+    spec_tokens_.push_back(rows_[slot].last_token);
     for (int j = 0; j < g; ++j) {
       spec_tokens_.push_back(spec_proposals_[slot][static_cast<size_t>(j)]);
     }
@@ -1051,9 +794,9 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
       const int tok = hllm::SampleToken(
           std::span<const float>(logits_vec.data() + static_cast<size_t>(row0 + j) * vocab,
                                  static_cast<size_t>(vocab)),
-          sampler_opts_[slot], sampler_rng_[slot]);
+          rows_[slot].sampler, rows_[slot].rng);
       out.tokens.push_back(tok);
-      last_token_[slot] = tok;
+      rows_[slot].last_token = tok;
       ++committed;
       // Row j+1's logits conditioned on proposal d_{j+1}; a mismatch invalidates them (and
       // everything after). Row g is the bonus row — nothing proposed beyond it.
@@ -1073,7 +816,7 @@ StepOutcome FunctionalBackend::SpeculativeStep(std::span<const int> slots,
         // target committed to ctx+g+1. Carry d_g for a 1-token catch-up next cycle.
         draft_carry_[slot] = props[static_cast<size_t>(g - 1)];
       } else {
-        // Resync the draft to the committed prefix; its next input is last_token_.
+        // Resync the draft to the committed prefix; its next input is the row's last_token.
         draft_->kv().TruncateSeq(static_cast<int>(slot), ctx + committed);
         draft_carry_[slot] = -1;
       }

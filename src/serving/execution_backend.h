@@ -8,9 +8,10 @@
 /// level policy (slot pool, admission queue, barriers).
 ///
 /// Both implementations manage KV memory through the paged block-pool manager
-/// (src/kvcache): parallel samples of one prompt_group share the prompt's blocks
-/// physically, and beam-search fork jobs (ServeJob::parent_job) map a completed stem's
-/// retained blocks copy-on-write instead of re-prefilling it.
+/// (src/kvcache) under one set of residency rules (KvResidency, kv_residency.h): parallel
+/// samples of one prompt_group share the prompt's blocks physically, beam-search fork jobs
+/// (ServeJob::parent_job) map a completed stem's retained blocks copy-on-write instead of
+/// re-prefilling it, and preempted jobs park their KV until they resume.
 ///
 /// Two implementations:
 ///   * AnalyticBackend — wraps hrt::Engine. Prices a step for the given active batch and
@@ -50,6 +51,7 @@
 #include "src/obs/metrics.h"
 #include "src/runtime/engine.h"
 #include "src/serving/job.h"
+#include "src/serving/kv_residency.h"
 
 namespace hserve {
 
@@ -65,8 +67,8 @@ struct StepOutcome {
   std::vector<int> row_token_counts;
 };
 
-// Effective per-cycle draft length: the HEXLLM_SPEC_GAMMA environment variable overrides
-// `configured` when set to a non-negative integer (docs/speculative_decoding.md).
+// Effective per-cycle draft length: the HEXLLM_SPEC_GAMMA environment variable, an integer
+// >= 0, overrides `configured` (docs/speculative_decoding.md).
 int SpecGammaFromEnv(int configured);
 
 class ExecutionBackend {
@@ -240,27 +242,16 @@ class AnalyticBackend : public ExecutionBackend {
   const hrt::StepCost& BucketedCost(int batch, int context);
 
  private:
-  struct Retained {
-    int64_t handle = 0;
-    int len = 0;
-  };
-
-  // A preempted job's snapshot: the retained KV plus the end length the batcher committed
-  // to at admission (so the free-block reservation survives the pause).
-  struct Paused {
-    int64_t handle = 0;
-    int len = 0;
-    int end_len = 0;
-  };
-
   static Options MakeOptions(int context_bucket_tokens) {
     Options o;
     o.context_bucket_tokens = context_bucket_tokens;
     return o;
   }
-  // Shared-prefix length `job` would map on admission (fork stem or group prompt anchor).
-  int SharedPrefixLen(const ServeJob& job, int context_tokens) const;
-  void TrackSlot(int slot, int end_len);
+  // The two admission inputs KvResidency takes (docs/long_context.md "Admission"): blocks
+  // left under the DRAM budget (ungated without a budget or with the flash tier on), and
+  // the sliding window's resident blocks per row.
+  int64_t FreeBlocks() const;
+  int64_t ResidentCap() const;
   // Per-row context as priced: windowed rows attend at most ResidentTokens().
   int EffectiveContext(int context) const;
   // KV accounting for `steps` plain decode steps: every row appends one position per step,
@@ -304,10 +295,7 @@ class AnalyticBackend : public ExecutionBackend {
   hkern::AttnWindowSpec window_;
   std::vector<int> eff_contexts_;  // per-step scratch for windowed pricing
   std::vector<int> run_rows_;      // AppendRun scratch: rows by next block boundary
-  std::vector<int> end_len_;           // per slot: context+decode at admission (0 = free)
-  std::map<int, Retained> retained_;   // completed job id -> retained stem
-  std::map<int, Retained> anchors_;    // prompt_group -> retained prompt prefix
-  std::map<int, Paused> paused_;       // preempted job id -> paused snapshot
+  KvResidency<hkv::KvBlockManager> residency_{kv_};
 };
 
 // Actually decodes tokens through the functional Transformer on the NPU simulator. Intended
@@ -399,25 +387,6 @@ class FunctionalBackend : public ExecutionBackend {
   hllm::Transformer* draft_transformer() { return draft_.get(); }
 
  private:
-  struct Retained {
-    int64_t handle = 0;
-    int len = 0;
-    int last_token = 0;  // token the forked child's first decode step consumes
-  };
-
-  // A preempted job's full decode state. The Rng copy is the exact sampler state at the
-  // pause point (hexllm::Rng copies are state snapshots), which is what makes the resumed
-  // stream bit-identical for stochastic sampling policies, not just greedy.
-  struct Paused {
-    int64_t handle = 0;
-    int len = 0;
-    int last_token = 0;
-    int end_len = 0;
-    bool speculative = false;  // resume re-primes the draft KV from the synthetic view
-    hllm::SamplerOptions opts;
-    hexllm::Rng rng{0};
-  };
-
   // Seconds elapsed on the critical path for the ledger activity since `mark`, plus the
   // CPU lm_head and mailbox costs for `batch` rows; fills `cost`'s busy fields.
   double ComposeStep(const hexsim::CycleLedger& mark, int batch, hrt::StepCost* cost) const;
@@ -430,7 +399,6 @@ class FunctionalBackend : public ExecutionBackend {
   hkv::KvOffloadStats BeginOffloadStep();
   void FoldOffload(const hkv::KvOffloadStats& mark, std::span<const int> slots,
                    std::span<const int> contexts, double npu_s, hrt::StepCost* cost);
-  int SharedPrefixLen(const ServeJob& job, int context_tokens) const;
   // Target-side admission (the pre-speculation AdmitSlot body).
   double AdmitTarget(int slot, const ServeJob& job, int context_tokens,
                      int charged_prefill_tokens);
@@ -441,13 +409,13 @@ class FunctionalBackend : public ExecutionBackend {
 
   hexsim::NpuDevice& dev_;
   hllm::Transformer tf_;
+  KvResidency<hkv::PagedKvCache> residency_{tf_.kv()};
   int max_context_;
-  std::vector<int> last_token_;    // per slot: token the next step consumes
-  // Per-slot sampling policy + Rng, seeded from the job at admission. Sampling runs on the
-  // batcher's bookkeeping thread (after StepSeqs returns), so decoded tokens are
-  // deterministic at any HEXLLM_NUM_THREADS.
-  std::vector<hllm::SamplerOptions> sampler_opts_;
-  std::vector<hexllm::Rng> sampler_rng_;
+  // Per slot: the token the next step consumes, plus the sampling policy and Rng seeded
+  // from the job at admission. Sampling runs on the batcher's bookkeeping thread (after
+  // StepSeqs returns), so decoded tokens are deterministic at any HEXLLM_NUM_THREADS.
+  // `speculative` is set only in the copies parked at a pause.
+  std::vector<DecodeState> rows_;
   // Double-buffered logits, [max_batch * vocab] each: step N writes buffer N % 2 and the
   // previous step's buffer stays intact until step N+1 flips again. This is the mechanism
   // behind ServeOptions::overlap_lm_head — the CPU lm_head (argmax consumer) of step N can
@@ -455,10 +423,6 @@ class FunctionalBackend : public ExecutionBackend {
   // max(npu, lm_head) instead of their sum (docs/threading_model.md).
   std::array<std::vector<float>, 2> logits_buf_;
   int logits_cur_ = 0;             // buffer index the LAST step wrote
-  std::vector<int> end_len_;       // per slot: context+decode at admission (0 = free)
-  std::map<int, Retained> retained_;  // completed job id -> retained stem
-  std::map<int, Retained> anchors_;   // prompt_group -> retained prompt prefix
-  std::map<int, Paused> paused_;      // preempted job id -> paused snapshot
 
   // Speculative decoding (docs/speculative_decoding.md). The draft transformer shares the
   // simulated device, so its charges land in the same cycle ledger the cycle cost is

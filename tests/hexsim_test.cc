@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "src/base/rng.h"
 #include "src/hexsim/device_profile.h"
 #include "src/hexsim/dma.h"
+#include "src/hexsim/flash.h"
 #include "src/hexsim/hmx.h"
 #include "src/hexsim/hvx.h"
 #include "src/hexsim/npu_device.h"
@@ -464,6 +466,20 @@ TEST(CycleLedgerTest, TagsAndMerge) {
   EXPECT_DOUBLE_EQ(a.TagSeconds("softmax"), 1.5);
   EXPECT_DOUBLE_EQ(a.TagSeconds("gemm"), 2.0);
   EXPECT_DOUBLE_EQ(a.TagSeconds("absent"), 0.0);
+}
+
+// A malformed HEXLLM_KV_OFFLOAD_GBPS aborts naming the knob; strtod used to read "3x" as
+// 3 and silently ignore 0 and -1.
+TEST(EnvKnobDeathTest, OffloadGbpsMustBeAPositiveNumber) {
+  for (const char* bad : {"3x", "0", "-1", "inf"}) {
+    EXPECT_DEATH(
+        {
+          setenv("HEXLLM_KV_OFFLOAD_GBPS", bad, 1);
+          FlashSpecFromEnv();
+        },
+        "HEXLLM_KV_OFFLOAD_GBPS")
+        << bad;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -953,6 +954,38 @@ TEST(AttnWindowTest, MaskedInteriorIsNeverReadAndMatchesVisibleReference) {
   for (size_t i = 0; i < o_a.size(); ++i) {
     EXPECT_NEAR(o_a[i].ToFloat(), of[i], 0.03) << i;
   }
+}
+
+// Malformed HEXLLM_ATTN_* values abort naming the knob instead of silently disabling the
+// window (atoi read "abc" as 0) or accepting negative block counts.
+TEST(EnvKnobDeathTest, AttnSinkBlocksMustBeANonNegativeInteger) {
+  EXPECT_DEATH(
+      {
+        setenv("HEXLLM_ATTN_SINK_BLOCKS", "2x", 1);
+        AttnWindowFromEnv();
+      },
+      "HEXLLM_ATTN_SINK_BLOCKS");
+  EXPECT_DEATH(
+      {
+        setenv("HEXLLM_ATTN_SINK_BLOCKS", "-1", 1);
+        AttnWindowFromEnv();
+      },
+      "HEXLLM_ATTN_SINK_BLOCKS");
+}
+
+TEST(EnvKnobDeathTest, AttnWindowBlocksMustBeANonNegativeInteger) {
+  EXPECT_DEATH(
+      {
+        setenv("HEXLLM_ATTN_WINDOW_BLOCKS", "abc", 1);
+        AttnWindowFromEnv();
+      },
+      "HEXLLM_ATTN_WINDOW_BLOCKS");
+  EXPECT_DEATH(
+      {
+        setenv("HEXLLM_ATTN_WINDOW_BLOCKS", "-4", 1);
+        AttnWindowFromEnv();
+      },
+      "HEXLLM_ATTN_WINDOW_BLOCKS");
 }
 
 }  // namespace

@@ -114,9 +114,9 @@ TEST(KvBlockManagerTest, ShareForkAndCowAccounting) {
   // Releasing the fork frees only its private block; the handle pins the prefix even after
   // the parent sequence resets.
   std::vector<int> freed;
-  mgr.Reset(1, &freed);
+  mgr.ResetSeq(1, &freed);
   EXPECT_EQ(freed.size(), 1u);
-  mgr.Reset(0, &freed);
+  mgr.ResetSeq(0, &freed);
   EXPECT_EQ(mgr.stats().physical_blocks, 2);  // retained prefix survives
   mgr.DropHandle(h, &freed);
   EXPECT_EQ(mgr.stats().physical_blocks, 0);
@@ -239,7 +239,7 @@ void AppendClosedForm(KvBlockManager& mgr, const std::vector<int>& seqs, int ste
 // allocation order decides which ids each sequence receives.
 void BuildRunState(KvBlockManager& mgr) {
   AppendPerToken(mgr, {0, 5}, 6);
-  mgr.Reset(5, nullptr);
+  mgr.ResetSeq(5);
   const int64_t h = mgr.Retain(0);
   mgr.ShareFromHandle(h, 1, 6);
   mgr.ShareFromHandle(h, 2, 6);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "src/quant/codebooks.h"
 #include "src/quant/error_stats.h"
 #include "src/quant/group_quant.h"
+#include "src/quant/quant_types.h"
 #include "src/quant/synthetic_weights.h"
 #include "src/quant/tile_quant.h"
 
@@ -397,6 +399,17 @@ TEST(AwqTest, CalibrationScalesAreMeanAbs) {
   const auto s = CalibrationActScales(acts, 2, 2);
   EXPECT_FLOAT_EQ(s[0], 2.0f);  // (1 + 3) / 2
   EXPECT_FLOAT_EQ(s[1], 3.0f);  // (2 + 4) / 2
+}
+
+// A HEXLLM_KV_DTYPE naming no dtype aborts naming the knob instead of silently keeping the
+// configured one.
+TEST(EnvKnobDeathTest, KvDtypeMustNameADtype) {
+  EXPECT_DEATH(
+      {
+        setenv("HEXLLM_KV_DTYPE", "int3", 1);
+        KvDtypeFromEnv(KvDtype::kF16);
+      },
+      "HEXLLM_KV_DTYPE");
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,6 +289,12 @@ TEST_F(AnalyticServingTest, TraceRecordsStepsAndAdmissions) {
   EXPECT_TRUE(lanes.count("CPU"));
 }
 
+// Resuming needs a parked job whether or not a KV budget gates admission.
+TEST_F(AnalyticServingTest, ResumeOfAJobNeverPausedAbortsEvenWithoutABudget) {
+  AnalyticBackend backend(*engine_);
+  EXPECT_DEATH(backend.CanResume(7), "never paused");
+}
+
 // --- the acceptance-criteria centerpiece: both backends, one batcher code path ---
 
 class BackendParityTest : public ::testing::Test {
@@ -306,42 +315,99 @@ class BackendParityTest : public ::testing::Test {
   std::unique_ptr<hrt::Engine> toy_engine_;
 };
 
-TEST_F(BackendParityTest, BackendsScheduleIdenticalJobStreamsIdentically) {
+// Shared KV budget in blocks (0 = none: analytic ungated, functional pool sized for the
+// batch), KV dtype, and whether priority preemption is on.
+using ParityParams = std::tuple<int, hquant::KvDtype, bool>;
+
+class BackendParityParamTest : public BackendParityTest,
+                               public ::testing::WithParamInterface<ParityParams> {};
+
+TEST_P(BackendParityParamTest, BackendsScheduleIdenticalJobStreamsIdentically) {
   // The same job stream through the same ContinuousBatcher code path, once priced
   // analytically and once actually decoded on the functional toy model: scheduling
-  // decisions (admissions, completions, step counts) must agree exactly; only the
-  // clock differs.
-  const std::vector<ServeJob> jobs = {
-      Job(0, 6, /*group=*/0, /*prompt=*/5), Job(1, 3, 0, 5),
-      Job(2, 9, 0, 5),                      Job(3, 4, -1, 3),
-      Job(4, 5, -1, 0, /*context=*/4),
-  };
+  // decisions (admissions, deferrals, preemptions, completions, step counts) and KV block
+  // statistics must agree exactly; only the clock differs. The stream mixes every way a
+  // job maps retained KV: a Best-of-N group sharing one prompt anchor, a two-round beam
+  // group whose second round forks the first, a high-priority group whose second round
+  // becomes ready mid-run, and low-priority singletons it may preempt.
+  const auto [budget_blocks, dtype, preempt] = GetParam();
+  std::vector<ServeJob> jobs;
+  for (int i = 0; i < 4; ++i) {
+    jobs.push_back(Job(i, 6 + 5 * i, /*group=*/0, /*prompt=*/28));
+  }
+  for (int i = 4; i < 6; ++i) {
+    jobs.push_back(Job(i, 10 + 4 * (i - 4), /*group=*/1, /*prompt=*/24));
+  }
+  for (int i = 6; i < 10; ++i) {
+    const ServeJob& parent = jobs[static_cast<size_t>(4 + i % 2)];
+    ServeJob child = Job(i, 8 + 2 * (i - 6), /*group=*/1, /*prompt=*/24,
+                         /*context=*/parent.context_tokens + parent.decode_tokens,
+                         /*barrier=*/1);
+    child.parent_job = parent.id;
+    jobs.push_back(child);
+  }
+  jobs.push_back(Job(10, 12, /*group=*/2, /*prompt=*/20));
+  for (int i = 11; i < 13; ++i) {
+    jobs.push_back(Job(i, 8, /*group=*/2, /*prompt=*/20, /*context=*/12, /*barrier=*/1));
+  }
+  for (int i = 13; i < 17; ++i) {
+    jobs.push_back(Job(i, 24 + 8 * (i - 13), /*group=*/-1, /*prompt=*/4 + 2 * (i - 13)));
+  }
+  for (ServeJob& j : jobs) {
+    j.priority = j.prompt_group == 2 ? 2 : 0;
+  }
   ServeOptions so;
   so.max_batch = 3;
   so.record_steps = true;
+  so.enable_preemption = preempt;
 
-  AnalyticBackend analytic(*toy_engine_);
+  AnalyticBackend::Options bo;
+  bo.kv_dtype = dtype;
+  bo.kv_budget_bytes =
+      budget_blocks * AnalyticBackend(*toy_engine_, bo).kv_stats().bytes_per_block;
+  AnalyticBackend analytic(*toy_engine_, bo);
   const ScheduleResult ra = ContinuousBatcher(analytic, so).Run(jobs);
 
-  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/64);
+  FunctionalBackend functional(dev_, weights_, so.max_batch, /*max_context=*/256,
+                               budget_blocks, dtype);
   const ScheduleResult rf = ContinuousBatcher(functional, so).Run(jobs);
 
+  ASSERT_TRUE(ra.error.empty()) << ra.error;
+  ASSERT_TRUE(rf.error.empty()) << rf.error;
   EXPECT_EQ(ra.steps, rf.steps);
   EXPECT_EQ(ra.decoded_tokens, rf.decoded_tokens);
   EXPECT_EQ(ra.prefilled_tokens, rf.prefilled_tokens);
+  EXPECT_EQ(ra.admission_deferrals, rf.admission_deferrals);
+  EXPECT_EQ(ra.preemptions, rf.preemptions);
+  EXPECT_EQ(ra.resumes, rf.resumes);
+  EXPECT_EQ(ra.forked_admissions, rf.forked_admissions);
   EXPECT_EQ(ra.step_active, rf.step_active);
   EXPECT_EQ(ra.step_occupied, rf.step_occupied);
+  EXPECT_EQ(ra.kv.peak_physical_blocks, rf.kv.peak_physical_blocks);
+  EXPECT_EQ(ra.kv.peak_logical_blocks, rf.kv.peak_logical_blocks);
+  EXPECT_EQ(ra.kv.cow_splits, rf.kv.cow_splits);
   ASSERT_EQ(ra.admissions.size(), rf.admissions.size());
   for (size_t i = 0; i < ra.admissions.size(); ++i) {
     EXPECT_EQ(ra.admissions[i].job_id, rf.admissions[i].job_id) << i;
     EXPECT_EQ(ra.admissions[i].slot, rf.admissions[i].slot) << i;
     EXPECT_EQ(ra.admissions[i].step, rf.admissions[i].step) << i;
+    EXPECT_EQ(ra.admissions[i].resumed, rf.admissions[i].resumed) << i;
   }
   ASSERT_EQ(ra.completions.size(), rf.completions.size());
   for (size_t i = 0; i < ra.completions.size(); ++i) {
     EXPECT_EQ(ra.completions[i].job_id, rf.completions[i].job_id) << i;
+    EXPECT_EQ(ra.completions[i].slot, rf.completions[i].slot) << i;
     EXPECT_EQ(ra.completions[i].step, rf.completions[i].step) << i;
   }
+  // The stream exercises what it is meant to: every fork maps its parent's stem, shared
+  // tails split, tight budgets defer, and preemption pauses and resumes a singleton
+  // whenever the high-priority round fits (it never does in 8 blocks).
+  EXPECT_EQ(ra.forked_admissions, 4);
+  EXPECT_GT(ra.kv.cow_splits, 0);
+  EXPECT_EQ(ra.admission_deferrals > 0, budget_blocks == 8 || budget_blocks == 10 ||
+                                            (budget_blocks == 12 && preempt));
+  EXPECT_EQ(ra.preemptions, preempt && budget_blocks != 8 ? 1 : 0);
+  EXPECT_EQ(ra.resumes, ra.preemptions);
   // Both clocks advance; the analytic one prices the full-pipeline cost model.
   EXPECT_GT(ra.makespan_s, 0.0);
   EXPECT_GT(rf.makespan_s, 0.0);
@@ -359,6 +425,18 @@ TEST_F(BackendParityTest, BackendsScheduleIdenticalJobStreamsIdentically) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    BudgetDtypePreemption, BackendParityParamTest,
+    ::testing::Combine(::testing::Values(0, 8, 10, 12, 24),
+                       ::testing::Values(hquant::KvDtype::kF16, hquant::KvDtype::kInt8),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ParityParams>& info) {
+      const int budget = std::get<0>(info.param);
+      return (budget > 0 ? "Budget" + std::to_string(budget) : std::string("NoBudget")) +
+             "_" + hquant::KvDtypeName(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_Preempt" : "_NoPreempt");
+    });
+
 TEST_F(BackendParityTest, FunctionalDecodeIsDeterministicAcrossRuns) {
   const std::vector<ServeJob> jobs = {Job(0, 5, -1, 4), Job(1, 7, -1, 2), Job(2, 3)};
   ServeOptions so;
@@ -370,6 +448,20 @@ TEST_F(BackendParityTest, FunctionalDecodeIsDeterministicAcrossRuns) {
     outs.push_back(ContinuousBatcher(backend, so).Run(jobs).job_tokens);
   }
   EXPECT_EQ(outs[0], outs[1]);
+}
+
+// A malformed HEXLLM_SPEC_GAMMA aborts naming the knob instead of silently keeping the
+// configured draft length.
+TEST(EnvKnobDeathTest, SpecGammaMustBeANonNegativeInteger) {
+  for (const char* bad : {"four", "4.5", "-1"}) {
+    EXPECT_DEATH(
+        {
+          setenv("HEXLLM_SPEC_GAMMA", bad, 1);
+          SpecGammaFromEnv(4);
+        },
+        "HEXLLM_SPEC_GAMMA")
+        << bad;
+  }
 }
 
 // --- TTS methods served through the batcher ---
@@ -1005,6 +1097,40 @@ TEST_F(MacroStepParityTest, TightKvBudgetDefersAdmissions) {
   bo.kv_budget_bytes = BudgetBytes(120);
   const ScheduleResult r = ExpectParity(BestOfN(6, 8, 24), Traced(8), bo);
   EXPECT_GT(r.admission_deferrals, 0);
+}
+
+TEST_F(MacroStepParityTest, WindowedResumeUnderTightBudget) {
+  // A sliding window caps every row's reservation at its resident blocks (sinks + window +
+  // the active block: 7 here), for resume exactly as for admission. The preempted
+  // singleton still owes far more growth than that: an uncapped resume check never fits
+  // it into 20 blocks, and the run fails once the rest of the stream has drained.
+  AnalyticBackend::Options bo;
+  bo.attn_window.sink_blocks = 1;
+  bo.attn_window.window_blocks = 4;
+  bo.kv_budget_bytes = BudgetBytes(20);
+  ServeOptions so = Traced(2);
+  so.enable_preemption = true;
+  std::vector<ServeJob> jobs = {Job(0, 40, /*group=*/0, /*prompt=*/64)};
+  for (int i = 1; i <= 2; ++i) {
+    jobs.push_back(Job(i, 60, /*group=*/0, /*prompt=*/64, /*context=*/40, /*barrier=*/1));
+  }
+  jobs.push_back(Job(3, 700, /*group=*/-1, /*prompt=*/32));
+  jobs.push_back(Job(4, 500, /*group=*/-1, /*prompt=*/48));
+  for (ServeJob& j : jobs) {
+    j.priority = j.prompt_group == 0 ? 2 : 0;
+  }
+  const ScheduleResult r = ExpectParity(jobs, so, bo);
+  EXPECT_GT(r.admission_deferrals, 0);
+  EXPECT_EQ(r.preemptions, 1);
+  ASSERT_EQ(r.resumes, 1);
+  // The paused singleton resumed while the other one still decoded.
+  const auto resumed = std::find_if(r.admissions.begin(), r.admissions.end(),
+                                    [](const Admission& a) { return a.resumed; });
+  const auto other_done = std::find_if(r.completions.begin(), r.completions.end(),
+                                       [](const Completion& c) { return c.job_id == 4; });
+  ASSERT_TRUE(resumed != r.admissions.end() && other_done != r.completions.end());
+  EXPECT_EQ(resumed->job_id, 3);
+  EXPECT_LT(resumed->step, other_done->step);
 }
 
 TEST_F(MacroStepParityTest, PreemptionByPriority) {
