@@ -12,7 +12,8 @@
 
 #include "bench/reporter.h"
 #include "src/base/rng.h"
-#include "src/runtime/scheduler.h"
+#include "src/frontend/traffic.h"
+#include "src/runtime/engine.h"
 #include "src/serving/continuous_batcher.h"
 #include "src/serving/execution_backend.h"
 
@@ -20,7 +21,7 @@ namespace {
 
 // The legacy sample-job stream on the serving runtime: fixed uncharged starting context,
 // one slot per sample, policy-selected slot reclamation.
-hserve::ScheduleResult Schedule(const std::vector<hrt::SampleJob>& jobs, int max_batch,
+hserve::ScheduleResult Schedule(const std::vector<hfront::SampleJob>& jobs, int max_batch,
                                 const hrt::Engine& engine, int context,
                                 hserve::SchedulePolicy policy) {
   hserve::AnalyticBackend backend(engine);
@@ -54,8 +55,8 @@ int main() {
   hexllm::Rng rng(404);
 
   // 12 tasks x Best-of-8 samples, ~384-token solutions with realistic length spread.
-  const auto jobs = hrt::MakeSampleJobs(/*tasks=*/12, /*samples_per_task=*/8,
-                                        /*mean_tokens=*/384, rng);
+  const auto jobs = hfront::MakeSampleJobs(/*tasks=*/12, /*samples_per_task=*/8,
+                                           /*mean_tokens=*/384, rng);
 
   std::printf("%-10s %14s %14s %14s %14s %12s\n", "max_batch", "static t/s", "contin. t/s",
               "speedup", "static util", "avg active");

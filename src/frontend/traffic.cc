@@ -10,8 +10,8 @@ namespace hfront {
 
 namespace {
 
-// Lognormal with sigma 0.5 around `mean` (the same dispersion MakeSampleJobs and the TTS
-// library use), floored at `min`.
+// Lognormal with sigma 0.5 around `mean` (the same dispersion the TTS library uses),
+// floored at `min`.
 int Length(int mean, int min, hexllm::Rng& rng) {
   const double len = mean * std::exp(0.5 * rng.NextGaussian() - 0.125);
   return std::max(min, static_cast<int>(len));
@@ -85,6 +85,17 @@ std::vector<Request> GenerateTraffic(const TrafficOptions& o) {
     }
   }
   return out;
+}
+
+std::vector<SampleJob> MakeSampleJobs(int tasks, int samples_per_task, int mean_tokens,
+                                      hexllm::Rng& rng) {
+  HEXLLM_CHECK(tasks >= 1 && samples_per_task >= 1 && mean_tokens >= 16);
+  std::vector<SampleJob> jobs;
+  jobs.reserve(static_cast<size_t>(tasks) * samples_per_task);
+  for (int i = 0; i < tasks * samples_per_task; ++i) {
+    jobs.push_back(SampleJob{i, std::min(4 * mean_tokens, Length(mean_tokens, 16, rng))});
+  }
+  return jobs;
 }
 
 }  // namespace hfront

@@ -3,13 +3,15 @@
 /// arrivals, lognormal prompt/output-length dispersion, an interactive (latency-critical)
 /// request class, and multi-turn dialog sessions. The same (options, seed) pair always
 /// produces the same trace, so serving benchmarks are bit-reproducible
-/// (docs/serving_frontend.md lists every knob).
+/// (docs/serving_frontend.md lists every knob). It also generates the closed
+/// parallel-sampling job streams the static-vs-continuous scheduling comparisons use.
 #ifndef SRC_FRONTEND_TRAFFIC_H_
 #define SRC_FRONTEND_TRAFFIC_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/frontend/request.h"
 
 namespace hfront {
@@ -91,6 +93,19 @@ struct TrafficOptions {
 // Generates the trace, sorted by arrival time for the initial turns (follow-up turns carry
 // relative think times and ride behind their session head). Request ids are dense from 0.
 std::vector<Request> GenerateTraffic(const TrafficOptions& options);
+
+// One sample of a parallel-sampling (Best-of-N) task: its decode length.
+struct SampleJob {
+  int id = 0;
+  int total_tokens = 0;
+};
+
+// Generates N-per-task sample jobs with realistic length dispersion: lengths are lognormal
+// around `mean_tokens` (clamped to [16, 4 * mean]). Schedule them by building ServeJobs
+// (decode_tokens = total_tokens) for hserve::ContinuousBatcher under
+// SchedulePolicy::kStaticWaves or kContinuous.
+std::vector<SampleJob> MakeSampleJobs(int tasks, int samples_per_task, int mean_tokens,
+                                      hexllm::Rng& rng);
 
 }  // namespace hfront
 

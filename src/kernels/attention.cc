@@ -9,7 +9,6 @@
 #include "src/base/check.h"
 #include "src/base/env.h"
 #include "src/base/math_util.h"
-#include "src/exec/thread_pool.h"
 #include "src/hexsim/hmx.h"
 
 namespace hkern {
@@ -498,40 +497,6 @@ void FlashAttentionPagedQ(hexsim::NpuDevice& dev, const ExpLut& lut,
                                 kv.dtype,          staged_row_bytes};
   FlashAttentionCore(dev, lut, exp_variant, q, q_stride, k_rows, v_rows, o, o_stride, q_len,
                      kv_len, head_dim, scale, q_pos_offset, window);
-}
-
-void FlashAttentionHeadsF16(
-    hexsim::NpuDevice& dev, std::span<const ExpLut* const> slot_luts,
-    SoftmaxVariant exp_variant, int heads,
-    const std::function<void(int head, F16* k_dst, F16* v_dst, F16* q_dst)>& gather,
-    F16* attn_out, int out_stride, int q_len, int kv_len, int head_dim, float scale,
-    int q_pos_offset) {
-  HEXLLM_CHECK(heads >= 1 && !slot_luts.empty());
-  const int slots = std::min(hexec::PlannedSlots(heads),
-                             static_cast<int>(slot_luts.size()));
-  dev.EnsureShards(slots);
-  hexec::ParallelFor(
-      heads,
-      [&](int64_t h_begin, int64_t h_end, int slot) {
-        hexsim::NpuDevice& d = dev.ForSlot(slot);
-        const ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-        std::vector<F16> k_head(static_cast<size_t>(kv_len) * head_dim);
-        std::vector<F16> v_head(static_cast<size_t>(kv_len) * head_dim);
-        std::vector<F16> q_head(static_cast<size_t>(q_len) * head_dim);
-        std::vector<F16> o_head(static_cast<size_t>(q_len) * head_dim);
-        for (int64_t h = h_begin; h < h_end; ++h) {
-          gather(static_cast<int>(h), k_head.data(), v_head.data(), q_head.data());
-          FlashAttentionF16(d, lut, exp_variant, q_head.data(), k_head.data(), v_head.data(),
-                            o_head.data(), q_len, kv_len, head_dim, scale, q_pos_offset);
-          for (int r = 0; r < q_len; ++r) {
-            std::memcpy(attn_out + static_cast<int64_t>(r) * out_stride + h * head_dim,
-                        o_head.data() + static_cast<size_t>(r) * head_dim,
-                        static_cast<size_t>(head_dim) * 2);
-          }
-        }
-      },
-      slots);
-  dev.MergeShards();
 }
 
 void AttentionF32Reference(const float* q, const float* k, const float* v, float* o, int q_len,

@@ -16,8 +16,6 @@
 #define SRC_KERNELS_ATTENTION_H_
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "src/base/fp16.h"
@@ -165,23 +163,6 @@ void FlashAttentionPagedQ(hexsim::NpuDevice& dev, const ExpLut& lut,
                           const PagedQKvHeadView& kv, hexllm::F16* o, int64_t o_stride,
                           int q_len, int kv_len, int head_dim, float scale,
                           int q_pos_offset = -1, const AttnWindowSpec* window = nullptr);
-
-// Runs `heads` independent attention heads, parallelized across hexec slots with one shard
-// device (and one exp LUT resident in that shard's TCM) per slot. `slot_luts[s]` must be
-// built in dev.ForSlot(s)'s TCM — slot_luts.size() caps the lane count, so passing a
-// single-entry span degrades to the serial per-head loop. For each head the kernel calls
-// `gather(head, k_dst, v_dst, q_dst)` on the owning slot's thread to fill contiguous
-// [kv_len x head_dim] K/V and [q_len x head_dim] Q host buffers, runs FlashAttentionF16 on
-// the slot device, and scatters the head's output rows to attn_out[r * out_stride +
-// head * head_dim]. Shard accounting is merged before returning, so the parent device's
-// counters match the serial loop exactly; outputs are bit-identical at any lane count.
-void FlashAttentionHeadsF16(
-    hexsim::NpuDevice& dev, std::span<const ExpLut* const> slot_luts,
-    SoftmaxVariant exp_variant, int heads,
-    const std::function<void(int head, hexllm::F16* k_dst, hexllm::F16* v_dst,
-                             hexllm::F16* q_dst)>& gather,
-    hexllm::F16* attn_out, int out_stride, int q_len, int kv_len, int head_dim, float scale,
-    int q_pos_offset = -1);
 
 // Conventional full-precision attention (the Table 5 baseline): FP32 throughout, full S
 // matrix materialized. Pure host math — used as the numeric reference.

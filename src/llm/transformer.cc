@@ -18,12 +18,12 @@ using hexllm::F16;
 
 namespace {
 
-// Capacity of the per-step scratch arena: every step/prefill-chunk buffer (embedding rows,
-// normed rows, QKV, attention output, FFN intermediates, float hidden for the lm_head) plus
-// the worst-case padded-GEMM staging frame, with 64-byte alignment slack per allocation.
+// Capacity of the per-forward scratch arena for `rows` rows: every forward buffer
+// (embedding rows, normed rows, QKV, attention output, FFN intermediates, float hidden for
+// the lm_head) plus the worst-case padded-GEMM staging frame, with 64-byte alignment slack
+// per allocation.
 // Sized once so steady-state decode never grows it (docs/performance.md).
-int64_t StepWorkspaceBytes(const ModelConfig& c, int max_batch) {
-  const int64_t rows = std::max<int64_t>(max_batch, hkern::kAttnQTile);
+int64_t StepWorkspaceBytes(const ModelConfig& c, int64_t rows) {
   const int64_t f16_elems =
       rows * (3 * static_cast<int64_t>(c.hidden) + 2 * c.q_dim() + 2 * c.kv_dim() +
               3 * static_cast<int64_t>(c.ffn_hidden));
@@ -45,8 +45,8 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
           hkv::kDefaultBlockTokens, kv_pool_blocks, hquant::KvDtypeFromEnv(kv_dtype),
           kv_quant_group),
       max_batch_(max_batch),
-      max_rows_(std::max(max_step_rows, max_batch)),
-      ws_(StepWorkspaceBytes(weights.config, std::max(max_step_rows, max_batch))) {
+      max_rows_(std::max({max_step_rows, max_batch, hkern::kAttnQTile})),
+      ws_(StepWorkspaceBytes(weights.config, max_rows_)) {
   if (kv_.dtype() != hquant::KvDtype::kF16) {
     // Per-kv-head attention views slice rows at head boundaries, so quant groups must not
     // straddle heads.
@@ -55,6 +55,7 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
   kv_.ReserveSeqs(max_batch);
   identity_seq_ids_.resize(static_cast<size_t>(max_batch));
   std::iota(identity_seq_ids_.begin(), identity_seq_ids_.end(), 0);
+  unit_rows_.assign(static_cast<size_t>(max_batch), 1);
   span_row0_.reserve(static_cast<size_t>(max_batch));
   // lm_head converted to float once and transposed to row-major [hidden x vocab]: the
   // blocked CPU lm_head then converts each hidden row once per step and streams contiguous
@@ -69,14 +70,6 @@ Transformer::Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, in
     }
   }
   rope_inv_freq_ = hkern::RopeInvFreq(c.head_dim, c.rope_theta);
-  const size_t cap = static_cast<size_t>(kv_.blocks_per_seq_capacity());
-  if (kv_.dtype() == hquant::KvDtype::kF16) {
-    layer_k_ptrs_.resize(cap);
-    layer_v_ptrs_.resize(cap);
-  } else {
-    layer_kq_ptrs_.resize(cap);
-    layer_vq_ptrs_.resize(cap);
-  }
 }
 
 hkern::PagedQKvHeadView Transformer::QuantHeadView(const uint8_t* const* k_bases,
@@ -138,24 +131,42 @@ void Transformer::EnsureSlotScratch(int slots) {
 void Transformer::Step(std::span<const int> tokens, std::span<float> logits,
                        hkern::SoftmaxVariant exp_variant) {
   HEXLLM_CHECK(static_cast<int>(tokens.size()) <= max_batch_);
-  StepSeqSubset(tokens,
-                std::span<const int>(identity_seq_ids_.data(), tokens.size()), logits,
-                exp_variant);
+  StepSeqs(tokens, std::span<const int>(identity_seq_ids_.data(), tokens.size()), logits,
+           exp_variant);
 }
 
 void Transformer::StepSeqs(std::span<const int> tokens, std::span<const int> seq_ids,
                            std::span<float> logits, hkern::SoftmaxVariant exp_variant) {
-  HEXLLM_CHECK(tokens.size() == seq_ids.size());
-  StepSeqSubset(tokens, seq_ids, logits, exp_variant);
+  HEXLLM_CHECK(tokens.size() == seq_ids.size() && !logits.empty());
+  HEXLLM_CHECK(static_cast<int>(seq_ids.size()) <= max_batch_);
+  Forward(tokens, seq_ids, std::span<const int>(unit_rows_.data(), seq_ids.size()), logits,
+          exp_variant, /*causal=*/false);
 }
 
 void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> seq_ids,
                             std::span<const int> span_rows, std::span<float> logits,
                             hkern::SoftmaxVariant exp_variant) {
+  HEXLLM_CHECK(!logits.empty());
+  Forward(tokens, seq_ids, span_rows, logits, exp_variant, /*causal=*/true);
+}
+
+void Transformer::Prefill(int seq, std::span<const int> tokens) {
+  for (size_t done = 0; done < tokens.size();) {
+    const int chunk =
+        static_cast<int>(std::min<size_t>(hkern::kAttnQTile, tokens.size() - done));
+    Forward(tokens.subspan(done, static_cast<size_t>(chunk)), {&seq, 1}, {&chunk, 1}, {},
+            hkern::SoftmaxVariant::kLut, /*causal=*/true);
+    done += static_cast<size_t>(chunk);
+  }
+}
+
+void Transformer::Forward(std::span<const int> tokens, std::span<const int> seq_ids,
+                          std::span<const int> span_rows, std::span<float> logits,
+                          hkern::SoftmaxVariant exp_variant, bool causal) {
   const ModelConfig& c = weights_.config;
   const int spans = static_cast<int>(seq_ids.size());
-  HEXLLM_CHECK(spans >= 1 && spans <= max_batch_);
-  HEXLLM_CHECK(span_rows.size() == seq_ids.size());
+  const bool prefill = logits.empty();
+  HEXLLM_CHECK(spans >= 1 && spans <= max_batch_ && span_rows.size() == seq_ids.size());
   span_row0_.resize(static_cast<size_t>(spans));
   int64_t total = 0;
   for (int s = 0; s < spans; ++s) {
@@ -163,16 +174,16 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
     span_row0_[static_cast<size_t>(s)] = static_cast<int>(total);
     total += span_rows[static_cast<size_t>(s)];
   }
+  HEXLLM_CHECK(total <= max_rows_ && tokens.size() == static_cast<size_t>(total));
   const int rows = static_cast<int>(total);
-  HEXLLM_CHECK(rows <= max_rows_);
-  HEXLLM_CHECK(tokens.size() == static_cast<size_t>(rows));
-  HEXLLM_CHECK(logits.size() == static_cast<size_t>(rows) * c.vocab);
+  HEXLLM_CHECK(prefill ? spans == 1 : logits.size() == static_cast<size_t>(rows) * c.vocab);
   const int hidden = c.hidden;
   const int q_dim = c.q_dim();
   const int kv_dim = c.kv_dim();
   const int dh = c.head_dim;
   const int group = c.heads / c.kv_heads;
 
+  // All forward scratch from the persistent arena — no heap traffic in steady state.
   ws_.Reset();
   F16* x = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
   F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
@@ -185,6 +196,7 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
   F16* up = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
   F16* act = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
 
+  // Embedding lookup on the CPU.
   for (int r = 0; r < rows; ++r) {
     HEXLLM_CHECK(tokens[static_cast<size_t>(r)] >= 0 &&
                  tokens[static_cast<size_t>(r)] < c.vocab);
@@ -194,19 +206,26 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
                 static_cast<size_t>(hidden) * 2);
   }
 
+  // Attention fans out over heads for a prefill chunk (one long span) and over spans
+  // otherwise. The partition decides which shard ledger each charge lands on, and shard
+  // seconds are merged as doubles, so it is part of the charge contract.
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int slots = hexec::PlannedSlots(spans);
+  const int fan = prefill ? c.heads : spans;
+  const int slots = hexec::PlannedSlots(fan);
   const auto slot_luts = EnsureShardLuts(slots);
   EnsureSlotScratch(slots);
 
-  // Tiered offload: promote every block attention will stage, once per step — blocks hold
-  // all layers' rows, so the attended set is layer-invariant.
+  // Tiered offload: promote every block attention will stage, once per forward, on this
+  // (bookkeeping) thread — blocks hold all layers' rows, so the attended set is
+  // layer-invariant, and the parallel lanes below must never mutate pool residency.
   for (int s = 0; s < spans; ++s) {
     const int seq = seq_ids[static_cast<size_t>(s)];
+    const int pos0 = kv_.length(seq);
     const int n = span_rows[static_cast<size_t>(s)];
-    FaultAttendedBlocks(seq, n, kv_.length(seq) + n, /*q_pos_offset=*/kv_.length(seq));
+    FaultAttendedBlocks(seq, n, pos0 + n, causal ? pos0 : -1);
   }
 
+  const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
   for (int l = 0; l < c.layers; ++l) {
     const LayerWeights& lw = weights_.layers[static_cast<size_t>(l)];
 
@@ -221,63 +240,71 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
     for (int s = 0; s < spans; ++s) {
       const int seq = seq_ids[static_cast<size_t>(s)];
       const int pos0 = kv_.length(seq);
-      const int n = span_rows[static_cast<size_t>(s)];
       const int r0 = span_row0_[static_cast<size_t>(s)];
-      for (int r = 0; r < n; ++r) {
-        hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(r0 + r) * q_dim, c.heads, dh,
-                            pos0 + r, rope_inv_freq_.data());
-        hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(r0 + r) * kv_dim, c.kv_heads, dh,
-                            pos0 + r, rope_inv_freq_.data());
-        kv_.WriteKeyRow(l, seq, pos0 + r, k + static_cast<int64_t>(r0 + r) * kv_dim);
-        kv_.WriteValueRow(l, seq, pos0 + r, v + static_cast<int64_t>(r0 + r) * kv_dim);
+      for (int r = r0; r < r0 + span_rows[static_cast<size_t>(s)]; ++r) {
+        const int pos = pos0 + r - r0;
+        hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(r) * q_dim, c.heads, dh, pos,
+                            rope_inv_freq_.data());
+        hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(r) * kv_dim, c.kv_heads, dh, pos,
+                            rope_inv_freq_.data());
+        kv_.WriteKeyRow(l, seq, pos, k + static_cast<int64_t>(r) * kv_dim);
+        kv_.WriteValueRow(l, seq, pos, v + static_cast<int64_t>(r) * kv_dim);
       }
     }
 
-    // Per-span parallel causal attention: each span queries its own sequence's KV with
-    // q_pos_offset at the span base, so row r sees [0, pos0 + r]. The KV cache is
-    // read-only in this region and attn_out rows are disjoint, so results are
-    // bit-identical at any lane count (same argument as StepSeqSubset).
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
+    // Heads [h_begin, h_end) of span s on one lane, charging that lane's shard device (and
+    // its exp LUT). The lane resolves the span's block table into its own pointer scratch
+    // and the kernel reads K/V rows in place — no gather copies. The KV cache is read-only
+    // in this region (the appends above already ran) and lanes write disjoint attn_out
+    // rows or heads, so results are bit-identical at any lane count.
+    auto attend = [&](int slot, int s, int h_begin, int h_end) {
+      hexsim::NpuDevice& d = dev_.ForSlot(slot);
+      const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
+      const int seq = seq_ids[static_cast<size_t>(s)];
+      const int n = span_rows[static_cast<size_t>(s)];
+      const int pos0 = kv_.length(seq);
+      const int kv_len = pos0 + n;  // includes the rows just written
+      const int q_pos_offset = causal ? pos0 : -1;
+      const int64_t row0 = static_cast<int64_t>(span_row0_[static_cast<size_t>(s)]) * q_dim;
+      const uint8_t** kq_bases = nullptr;
+      const uint8_t** vq_bases = nullptr;
+      hkern::PagedKvHeadView view;
+      if (kv_quant) {
+        kq_bases = slot_kq_ptrs_[static_cast<size_t>(slot)].data();
+        vq_bases = slot_vq_ptrs_[static_cast<size_t>(slot)].data();
+        kv_.FillQuantBlockPointers(l, seq, kv_len, kq_bases, vq_bases);
+      } else {
+        const F16** k_bases = slot_k_ptrs_[static_cast<size_t>(slot)].data();
+        const F16** v_bases = slot_v_ptrs_[static_cast<size_t>(slot)].data();
+        kv_.FillBlockPointers(l, seq, kv_len, k_bases, v_bases);
+        view.k_blocks = k_bases;
+        view.v_blocks = v_bases;
+        view.block_tokens = kv_.block_tokens();
+        view.row_stride = kv_.row_stride();
+      }
+      for (int h = h_begin; h < h_end; ++h) {
+        const F16* qh = q + row0 + h * dh;
+        F16* oh = attn_out + row0 + h * dh;
+        if (kv_quant) {
+          hkern::FlashAttentionPagedQ(d, lut, exp_variant, qh, q_dim,
+                                      QuantHeadView(kq_bases, vq_bases, h / group), oh, q_dim,
+                                      n, kv_len, dh, scale, q_pos_offset, win());
+        } else {
+          view.head_offset = static_cast<int64_t>(h / group) * dh;
+          hkern::FlashAttentionPagedF16(d, lut, exp_variant, qh, q_dim, view, oh, q_dim, n,
+                                        kv_len, dh, scale, q_pos_offset, win());
+        }
+      }
+    };
     hexec::ParallelFor(
-        spans,
-        [&](int64_t s_begin, int64_t s_end, int slot) {
-          hexsim::NpuDevice& d = dev_.ForSlot(slot);
-          const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          for (int64_t s = s_begin; s < s_end; ++s) {
-            const int seq = seq_ids[static_cast<size_t>(s)];
-            const int n = span_rows[static_cast<size_t>(s)];
-            const int r0 = span_row0_[static_cast<size_t>(s)];
-            const int pos0 = kv_.length(seq);
-            const int kv_len = pos0 + n;  // includes the rows just written
-            if (kv_quant) {
-              const uint8_t** k_bases = slot_kq_ptrs_[static_cast<size_t>(slot)].data();
-              const uint8_t** v_bases = slot_vq_ptrs_[static_cast<size_t>(slot)].data();
-              kv_.FillQuantBlockPointers(l, seq, kv_len, k_bases, v_bases);
-              for (int h = 0; h < c.heads; ++h) {
-                const hkern::PagedQKvHeadView view =
-                    QuantHeadView(k_bases, v_bases, h / group);
-                hkern::FlashAttentionPagedQ(
-                    d, lut, exp_variant, q + static_cast<int64_t>(r0) * q_dim + h * dh,
-                    q_dim, view, attn_out + static_cast<int64_t>(r0) * q_dim + h * dh,
-                    q_dim, /*q_len=*/n, kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-              }
-              continue;
-            }
-            const F16** k_bases = slot_k_ptrs_[static_cast<size_t>(slot)].data();
-            const F16** v_bases = slot_v_ptrs_[static_cast<size_t>(slot)].data();
-            kv_.FillBlockPointers(l, seq, kv_len, k_bases, v_bases);
-            hkern::PagedKvHeadView view;
-            view.k_blocks = k_bases;
-            view.v_blocks = v_bases;
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            for (int h = 0; h < c.heads; ++h) {
-              view.head_offset = static_cast<int64_t>(h / group) * dh;
-              hkern::FlashAttentionPagedF16(
-                  d, lut, exp_variant, q + static_cast<int64_t>(r0) * q_dim + h * dh, q_dim,
-                  view, attn_out + static_cast<int64_t>(r0) * q_dim + h * dh, q_dim,
-                  /*q_len=*/n, kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-            }
+        fan,
+        [&](int64_t begin, int64_t end, int slot) {
+          if (prefill) {
+            attend(slot, 0, static_cast<int>(begin), static_cast<int>(end));
+            return;
+          }
+          for (int64_t s = begin; s < end; ++s) {
+            attend(slot, static_cast<int>(s), 0, c.heads);
           }
         },
         slots);
@@ -300,283 +327,19 @@ void Transformer::StepSpans(std::span<const int> tokens, std::span<const int> se
       kv_.Advance(seq_ids[static_cast<size_t>(s)]);
     }
   }
+  if (prefill) {
+    return;
+  }
 
+  // Final norm + blocked CPU lm_head: each hidden row converts F16->float once, and the
+  // pre-converted weight matrix streams through in vocab tiles (bit-identical logits —
+  // see LmHeadForwardF32W).
   hkern::RmsNormF16(dev_, x, weights_.final_norm.data(), xn, rows, hidden, c.rms_eps);
   float* xf = ws_.Alloc<float>(static_cast<int64_t>(rows) * hidden);
   for (int64_t i = 0; i < static_cast<int64_t>(rows) * hidden; ++i) {
     xf[i] = xn[i].ToFloat();
   }
   hkern::LmHeadForwardF32W(xf, lm_head_f32_.data(), logits.data(), rows, hidden, c.vocab);
-}
-
-void Transformer::Prefill(int seq, std::span<const int> tokens) {
-  size_t done = 0;
-  while (done < tokens.size()) {
-    const size_t chunk = std::min<size_t>(hkern::kAttnQTile, tokens.size() - done);
-    PrefillChunk(seq, tokens.subspan(done, chunk));
-    done += chunk;
-  }
-}
-
-void Transformer::PrefillChunk(int seq, std::span<const int> tokens) {
-  const ModelConfig& c = weights_.config;
-  const int rows = static_cast<int>(tokens.size());
-  HEXLLM_CHECK(rows >= 1 && rows <= hkern::kAttnQTile);
-  const int pos0 = kv_.length(seq);
-  const int hidden = c.hidden;
-  const int q_dim = c.q_dim();
-  const int kv_dim = c.kv_dim();
-  const int dh = c.head_dim;
-  const int group = c.heads / c.kv_heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  ws_.Reset();
-  F16* x = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* q = ws_.Alloc<F16>(static_cast<int64_t>(rows) * q_dim);
-  F16* k = ws_.Alloc<F16>(static_cast<int64_t>(rows) * kv_dim);
-  F16* v = ws_.Alloc<F16>(static_cast<int64_t>(rows) * kv_dim);
-  F16* attn_out = ws_.Alloc<F16>(static_cast<int64_t>(rows) * q_dim);
-  F16* proj = ws_.Alloc<F16>(static_cast<int64_t>(rows) * hidden);
-  F16* gate = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-  F16* up = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-  F16* act = ws_.Alloc<F16>(static_cast<int64_t>(rows) * c.ffn_hidden);
-
-  for (int r = 0; r < rows; ++r) {
-    HEXLLM_CHECK(tokens[static_cast<size_t>(r)] >= 0 &&
-                 tokens[static_cast<size_t>(r)] < c.vocab);
-    std::memcpy(x + static_cast<int64_t>(r) * hidden,
-                weights_.embedding.data() +
-                    static_cast<size_t>(tokens[static_cast<size_t>(r)]) * hidden,
-                static_cast<size_t>(hidden) * 2);
-  }
-
-  const int kv_len = pos0 + rows;
-  const int slots = std::min(hexec::PlannedSlots(c.heads), c.heads);
-  const auto slot_luts = EnsureShardLuts(slots);
-  FaultAttendedBlocks(seq, rows, kv_len, /*q_pos_offset=*/pos0);
-
-  for (int l = 0; l < c.layers; ++l) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(l)];
-    hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, rows, &ws_);
-    lw.wk.Forward(dev_, xn, k, rows, &ws_);
-    lw.wv.Forward(dev_, xn, v, rows, &ws_);
-
-    // RoPE with per-row positions (all heads of a row share the hoisted angles), then
-    // append the chunk's K/V rows to the cache.
-    for (int r = 0; r < rows; ++r) {
-      hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(r) * q_dim, c.heads, dh, pos0 + r,
-                          rope_inv_freq_.data());
-      hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(r) * kv_dim, c.kv_heads, dh,
-                          pos0 + r, rope_inv_freq_.data());
-    }
-    for (int r = 0; r < rows; ++r) {
-      kv_.WriteKeyRow(l, seq, pos0 + r, k + static_cast<int64_t>(r) * kv_dim);
-      kv_.WriteValueRow(l, seq, pos0 + r, v + static_cast<int64_t>(r) * kv_dim);
-    }
-
-    // Causal FlashAttention over the chunk: rows x [0, kv_len) with offset pos0, heads in
-    // parallel across slots, each reading K/V in place through the block table resolved
-    // once per layer (the append loop above already ran, so the table is read-only here).
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
-    if (kv_quant) {
-      kv_.FillQuantBlockPointers(l, seq, kv_len, layer_kq_ptrs_.data(),
-                                 layer_vq_ptrs_.data());
-    } else {
-      kv_.FillBlockPointers(l, seq, kv_len, layer_k_ptrs_.data(), layer_v_ptrs_.data());
-    }
-    hexec::ParallelFor(
-        c.heads,
-        [&](int64_t h_begin, int64_t h_end, int slot) {
-          hexsim::NpuDevice& d = dev_.ForSlot(slot);
-          const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          for (int64_t h = h_begin; h < h_end; ++h) {
-            if (kv_quant) {
-              const hkern::PagedQKvHeadView view = QuantHeadView(
-                  layer_kq_ptrs_.data(), layer_vq_ptrs_.data(), static_cast<int>(h / group));
-              hkern::FlashAttentionPagedQ(d, lut, hkern::SoftmaxVariant::kLut, q + h * dh,
-                                          q_dim, view, attn_out + h * dh, q_dim, rows,
-                                          kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-              continue;
-            }
-            hkern::PagedKvHeadView view;
-            view.k_blocks = layer_k_ptrs_.data();
-            view.v_blocks = layer_v_ptrs_.data();
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            view.head_offset = static_cast<int64_t>(h / group) * dh;
-            hkern::FlashAttentionPagedF16(d, lut, hkern::SoftmaxVariant::kLut, q + h * dh,
-                                          q_dim, view, attn_out + h * dh, q_dim, rows,
-                                          kv_len, dh, scale, /*q_pos_offset=*/pos0, win());
-          }
-        },
-        slots);
-    dev_.MergeShards();
-
-    lw.wo.Forward(dev_, attn_out, proj, rows, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
-    hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, rows, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, rows, &ws_);
-    lw.w_up.Forward(dev_, xn, up, rows, &ws_);
-    hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(rows) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, rows, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(rows) * hidden);
-  }
-
-  for (int r = 0; r < rows; ++r) {
-    kv_.Advance(seq);
-  }
-}
-
-void Transformer::StepSeqSubset(std::span<const int> tokens, std::span<const int> seq_ids,
-                                std::span<float> logits,
-                                hkern::SoftmaxVariant exp_variant) {
-  const ModelConfig& c = weights_.config;
-  const int batch = static_cast<int>(tokens.size());
-  HEXLLM_CHECK(batch >= 1 && batch <= max_batch_);
-  HEXLLM_CHECK(seq_ids.size() == tokens.size());
-  HEXLLM_CHECK(logits.size() == static_cast<size_t>(batch) * c.vocab);
-  const int hidden = c.hidden;
-  const int q_dim = c.q_dim();
-  const int kv_dim = c.kv_dim();
-  const int dh = c.head_dim;
-  const int group = c.heads / c.kv_heads;
-
-  // All step scratch from the persistent arena — no heap traffic in steady state.
-  ws_.Reset();
-  F16* x = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* xn = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* q = ws_.Alloc<F16>(static_cast<int64_t>(batch) * q_dim);
-  F16* k = ws_.Alloc<F16>(static_cast<int64_t>(batch) * kv_dim);
-  F16* v = ws_.Alloc<F16>(static_cast<int64_t>(batch) * kv_dim);
-  F16* attn_out = ws_.Alloc<F16>(static_cast<int64_t>(batch) * q_dim);
-  F16* proj = ws_.Alloc<F16>(static_cast<int64_t>(batch) * hidden);
-  F16* gate = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-  F16* up = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-  F16* act = ws_.Alloc<F16>(static_cast<int64_t>(batch) * c.ffn_hidden);
-
-  // Embedding lookup on the CPU.
-  for (int b = 0; b < batch; ++b) {
-    HEXLLM_CHECK(tokens[static_cast<size_t>(b)] >= 0 &&
-                 tokens[static_cast<size_t>(b)] < c.vocab);
-    std::memcpy(x + static_cast<int64_t>(b) * hidden,
-                weights_.embedding.data() +
-                    static_cast<size_t>(tokens[static_cast<size_t>(b)]) * hidden,
-                static_cast<size_t>(hidden) * 2);
-  }
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int slots = hexec::PlannedSlots(batch);
-  const auto slot_luts = EnsureShardLuts(slots);
-  EnsureSlotScratch(slots);
-
-  // Tiered offload: promote the attended blocks once per step, on this (bookkeeping)
-  // thread — the parallel lanes below must never mutate pool residency.
-  for (int b = 0; b < batch; ++b) {
-    const int seq = seq_ids[static_cast<size_t>(b)];
-    FaultAttendedBlocks(seq, /*q_len=*/1, kv_.length(seq) + 1, /*q_pos_offset=*/-1);
-  }
-
-  for (int l = 0; l < c.layers; ++l) {
-    const LayerWeights& lw = weights_.layers[static_cast<size_t>(l)];
-
-    // --- attention block ---
-    hkern::RmsNormF16(dev_, x, lw.attn_norm.data(), xn, batch, hidden, c.rms_eps);
-    lw.wq.Forward(dev_, xn, q, batch, &ws_);
-    lw.wk.Forward(dev_, xn, k, batch, &ws_);
-    lw.wv.Forward(dev_, xn, v, batch, &ws_);
-
-    for (int b = 0; b < batch; ++b) {
-      const int seq = seq_ids[static_cast<size_t>(b)];
-      const int pos = kv_.length(seq);
-      hkern::RopeHeadsF16(dev_, q + static_cast<int64_t>(b) * q_dim, c.heads, dh, pos,
-                          rope_inv_freq_.data());
-      hkern::RopeHeadsF16(dev_, k + static_cast<int64_t>(b) * kv_dim, c.kv_heads, dh, pos,
-                          rope_inv_freq_.data());
-      kv_.WriteKeyRow(l, seq, pos, k + static_cast<int64_t>(b) * kv_dim);
-      kv_.WriteValueRow(l, seq, pos, v + static_cast<int64_t>(b) * kv_dim);
-    }
-
-    // Per-row parallel attention: each batch row is an independent query against its own
-    // sequence's KV, so rows fan out across slots, each charging its slot's shard device
-    // (per-slot exp LUT included). Each lane resolves its sequences' block tables into its
-    // own pointer scratch and the kernel reads K/V rows in place — no gather copies. The
-    // KV cache is read-only in this region (the append loop above already ran) and
-    // attn_out rows are disjoint, so results are bit-identical at any lane count. Shard
-    // accounting merges back right after the loop.
-    const bool kv_quant = kv_.dtype() != hquant::KvDtype::kF16;
-    hexec::ParallelFor(
-        batch,
-        [&](int64_t b_begin, int64_t b_end, int slot) {
-          hexsim::NpuDevice& d = dev_.ForSlot(slot);
-          const hkern::ExpLut& lut = *slot_luts[static_cast<size_t>(slot)];
-          if (kv_quant) {
-            const uint8_t** k_bases = slot_kq_ptrs_[static_cast<size_t>(slot)].data();
-            const uint8_t** v_bases = slot_vq_ptrs_[static_cast<size_t>(slot)].data();
-            for (int64_t b = b_begin; b < b_end; ++b) {
-              const int seq = seq_ids[static_cast<size_t>(b)];
-              const int kv_len = kv_.length(seq) + 1;  // includes the row just written
-              kv_.FillQuantBlockPointers(l, seq, kv_len, k_bases, v_bases);
-              for (int h = 0; h < c.heads; ++h) {
-                const hkern::PagedQKvHeadView view =
-                    QuantHeadView(k_bases, v_bases, h / group);
-                hkern::FlashAttentionPagedQ(
-                    d, lut, exp_variant, q + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                    view, attn_out + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                    /*q_len=*/1, kv_len, dh, scale, /*q_pos_offset=*/-1, win());
-              }
-            }
-            return;
-          }
-          const F16** k_bases = slot_k_ptrs_[static_cast<size_t>(slot)].data();
-          const F16** v_bases = slot_v_ptrs_[static_cast<size_t>(slot)].data();
-          for (int64_t b = b_begin; b < b_end; ++b) {
-            const int seq = seq_ids[static_cast<size_t>(b)];
-            const int kv_len = kv_.length(seq) + 1;  // includes the row just written
-            kv_.FillBlockPointers(l, seq, kv_len, k_bases, v_bases);
-            hkern::PagedKvHeadView view;
-            view.k_blocks = k_bases;
-            view.v_blocks = v_bases;
-            view.block_tokens = kv_.block_tokens();
-            view.row_stride = kv_.row_stride();
-            for (int h = 0; h < c.heads; ++h) {
-              view.head_offset = static_cast<int64_t>(h / group) * dh;
-              hkern::FlashAttentionPagedF16(
-                  d, lut, exp_variant, q + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                  view, attn_out + static_cast<int64_t>(b) * q_dim + h * dh, q_dim,
-                  /*q_len=*/1, kv_len, dh, scale, /*q_pos_offset=*/-1, win());
-            }
-          }
-        },
-        slots);
-    dev_.MergeShards();
-
-    lw.wo.Forward(dev_, attn_out, proj, batch, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(batch) * hidden);
-
-    // --- FFN block ---
-    hkern::RmsNormF16(dev_, x, lw.ffn_norm.data(), xn, batch, hidden, c.rms_eps);
-    lw.w_gate.Forward(dev_, xn, gate, batch, &ws_);
-    lw.w_up.Forward(dev_, xn, up, batch, &ws_);
-    hkern::SiluMulF16(dev_, gate, up, act, static_cast<int64_t>(batch) * c.ffn_hidden);
-    lw.w_down.Forward(dev_, act, proj, batch, &ws_);
-    hkern::AddF16(dev_, x, proj, x, static_cast<int64_t>(batch) * hidden);
-  }
-
-  for (size_t i = 0; i < seq_ids.size(); ++i) {
-    kv_.Advance(seq_ids[i]);
-  }
-
-  // Final norm + blocked CPU lm_head: each hidden row converts F16->float once, and the
-  // pre-converted weight matrix streams through in vocab tiles (bit-identical logits —
-  // see LmHeadForwardF32W).
-  hkern::RmsNormF16(dev_, x, weights_.final_norm.data(), xn, batch, hidden, c.rms_eps);
-  float* xf = ws_.Alloc<float>(static_cast<int64_t>(batch) * hidden);
-  for (int64_t i = 0; i < static_cast<int64_t>(batch) * hidden; ++i) {
-    xf[i] = xn[i].ToFloat();
-  }
-  hkern::LmHeadForwardF32W(xf, lm_head_f32_.data(), logits.data(), batch, hidden, c.vocab);
 }
 
 }  // namespace hllm

@@ -1,10 +1,18 @@
 // Functional batched transformer running end-to-end on the NPU simulator.
 //
-// Decode path per layer: RMSNorm -> Q/K/V projections (tile-quantized mixed GEMM on
-// HVX+HMX) -> RoPE -> KV-cache append -> per-head FP16 FlashAttention with LUT softmax ->
-// output projection -> residual -> RMSNorm -> SwiGLU FFN -> residual. The final hidden
-// states project to logits on the (simulated) CPU, matching the paper's operator placement
-// (§6, §7.2.2).
+// Per layer: RMSNorm -> Q/K/V projections (tile-quantized mixed GEMM on HVX+HMX) -> RoPE ->
+// KV-cache append -> per-head FP16 FlashAttention with LUT softmax -> output projection ->
+// residual -> RMSNorm -> SwiGLU FFN -> residual. The final hidden states project to logits
+// on the (simulated) CPU, matching the paper's operator placement (§6, §7.2.2).
+//
+// Decode (Step/StepSeqs), the speculative verify (StepSpans) and chunked prefill (Prefill)
+// all run one private forward over spans: span s is span_rows[s] consecutive rows of
+// sequence seq_ids[s], and every span's rows share each norm and GEMM, filling HMX tile
+// rows the way the paper's parallel samples do. Three per-entry facts are inputs to that
+// forward, not code paths: the attention offset (decode attends non-causally, verify and
+// prefill causally from the span base), the attention fan-out (over heads for a prefill
+// chunk, over spans otherwise) and the softmax exp variant (prefill uses the LUT). A
+// prefill chunk skips the final norm and the lm_head.
 //
 // This path is functional: it produces real numbers and charges realistic cycle costs. It is
 // intended for the toy configuration (tests, examples); full-size models use the analytic
@@ -50,9 +58,10 @@ class Transformer {
   // route attention through hkern::FlashAttentionPagedQ). The HEXLLM_KV_DTYPE env var
   // overrides the configured dtype (docs/kv_quantization.md). `kv_quant_group` elements
   // share one scale and must divide head_dim.
-  // `max_step_rows` (0 = max_batch) raises the per-forward row capacity above the sequence
-  // count — speculative verify steps push max_batch spans of gamma+1 rows each through one
-  // forward, so the serving backend sizes the scratch arena for max_batch * (gamma + 1).
+  // `max_step_rows` raises the per-forward row capacity (at least max(max_batch, 32), the
+  // prefill chunk) — speculative verify steps push max_batch spans of gamma+1 rows each
+  // through one forward, so the serving backend sizes the scratch arena for
+  // max_batch * (gamma + 1).
   Transformer(hexsim::NpuDevice& dev, const ModelWeights& weights, int max_batch,
               int max_context, int64_t kv_pool_blocks = 0,
               hquant::KvDtype kv_dtype = hquant::KvDtype::kF16,
@@ -77,8 +86,9 @@ class Transformer {
   // share every GEMM/RMSNorm as one big batch (this is how a verify fills HMX tile rows
   // like Best-of-N lanes), while attention is per-span causal FlashAttention with
   // q_pos_offset at the span's base position. Writes FP32 logits for EVERY row,
-  // [tokens.size(), vocab]. With all-ones span_rows this is bit-identical to StepSeqs:
-  // every per-row computation (norms, GEMM rows, RoPE, single-row causal attention, the
+  // [tokens.size(), vocab]. With all-ones span_rows the logits are bit-identical to
+  // StepSeqs (the charges are not: a causal attention call pays one mask sweep per KV
+  // chunk): every per-row computation (norms, GEMM rows, RoPE, single-row causal attention, the
   // blocked lm_head) is row-independent, and causally masked positions contribute exactly
   // +0.0f to the online softmax — the lossless-under-greedy invariant the speculative
   // serving path is built on (docs/speculative_decoding.md).
@@ -111,11 +121,13 @@ class Transformer {
   const DecodeWorkspace& workspace() const { return ws_; }
 
  private:
-  void StepSeqSubset(std::span<const int> tokens, std::span<const int> seq_ids,
-                     std::span<float> logits, hkern::SoftmaxVariant exp_variant);
-  // One prefill chunk for a single sequence: rows = tokens.size() (<= 32) query positions
-  // starting at the sequence's current KV length.
-  void PrefillChunk(int seq, std::span<const int> tokens);
+  // The one forward behind every public entry (see the file comment). `causal` selects the
+  // attention offset: the span base position, or -1 (decode form). Empty `logits` marks a
+  // prefill chunk: exactly one span, attention fanned out over heads, and no final norm or
+  // lm_head. Otherwise writes [tokens.size(), vocab] logits.
+  void Forward(std::span<const int> tokens, std::span<const int> seq_ids,
+               std::span<const int> span_rows, std::span<float> logits,
+               hkern::SoftmaxVariant exp_variant, bool causal);
 
   // Parallel attention needs one exp LUT per execution slot, resident in that slot's shard
   // TCM (the softmax vgathers the table from the device it runs on). Lazily builds shard
@@ -124,8 +136,8 @@ class Transformer {
   // folded into the parent at the next merge.
   std::span<const hkern::ExpLut* const> EnsureShardLuts(int slots);
 
-  // Grows the per-slot block-pointer scratch (decode attention lanes each resolve their
-  // own sequences' block tables). Amortized: no growth in steady state.
+  // Grows the per-slot block-pointer scratch (attention lanes each resolve their spans'
+  // block tables). Amortized: no growth in steady state.
   void EnsureSlotScratch(int slots);
 
   // Builds the quantized attention view for one KV head over the given block bases
@@ -149,7 +161,7 @@ class Transformer {
   hkern::ExpLut lut_;
   KvCache kv_;
   int max_batch_;
-  int max_rows_;  // per-forward row capacity (>= max_batch_; see max_step_rows)
+  int max_rows_;  // per-forward row capacity of the arena (see max_step_rows)
   std::vector<std::unique_ptr<hkern::ExpLut>> shard_luts_;
   std::vector<const hkern::ExpLut*> slot_lut_ptrs_;
 
@@ -158,20 +170,16 @@ class Transformer {
   std::vector<float> lm_head_f32_;       // [hidden x vocab] row-major, converted once
   std::vector<double> rope_inv_freq_;    // base^(-2i/d) per pair, pow() hoisted once
   std::vector<int> identity_seq_ids_;    // 0..max_batch-1, for Step()
-  std::vector<int> span_row0_;           // per-span first-row offsets, for StepSpans()
+  std::vector<int> unit_rows_;           // max_batch ones: decode's one-row spans
+  std::vector<int> span_row0_;           // per-span first-row offsets, for Forward()
   hkern::AttnWindowSpec window_;         // disabled unless SetAttentionWindow installs one
   std::vector<int> attended_scratch_;    // table indices for FaultAttendedBlocks
-  // Block-pointer scratch: per decode slot (parallel lanes), and one shared set for the
-  // single-sequence prefill (filled once per layer, read by all head lanes).
+  // Block-pointer scratch, one set per attention lane.
   std::vector<std::vector<const hexllm::F16*>> slot_k_ptrs_;
   std::vector<std::vector<const hexllm::F16*>> slot_v_ptrs_;
-  std::vector<const hexllm::F16*> layer_k_ptrs_;
-  std::vector<const hexllm::F16*> layer_v_ptrs_;
   // Quantized-mode twins (byte-addressed block bases for hkern::PagedQKvHeadView).
   std::vector<std::vector<const uint8_t*>> slot_kq_ptrs_;
   std::vector<std::vector<const uint8_t*>> slot_vq_ptrs_;
-  std::vector<const uint8_t*> layer_kq_ptrs_;
-  std::vector<const uint8_t*> layer_vq_ptrs_;
 };
 
 }  // namespace hllm

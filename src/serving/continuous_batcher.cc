@@ -492,15 +492,25 @@ StepEvents ContinuousBatcher::StepInternal(bool allow_run) {
     return ev;
   }
   AdmitReady(ev);
-  if (occupied_ == 0) {
-    if (!ready_.empty() && free_slots_.size() == static_cast<size_t>(options_.max_batch)) {
-      // An admissible job exists whenever slots are free, so an empty batch with a waiting
-      // queue means the KV budget cannot fit the front job even alone — deferring would
-      // deadlock.
+  if (occupied_ == 0 && !ready_.empty() &&
+      free_slots_.size() == static_cast<size_t>(options_.max_batch)) {
+    // The front job cannot fit even into an empty batch. Paused jobs keep their pages
+    // resident, so resume the first one that fits: running it to completion frees them.
+    // With none, deferring would deadlock.
+    const auto resumable = std::find_if(ready_.begin(), ready_.end(), [&](const ReadyEntry& e) {
+      return e.resume && backend_.CanResume(jobs_[static_cast<size_t>(e.job)].job.id);
+    });
+    if (resumable == ready_.end()) {
       const ReadyEntry& front = *ready_.begin();
       Poison("job " + std::to_string(jobs_[static_cast<size_t>(front.job)].job.id) +
              ": KV budget too small to admit into an empty batch");
+    } else {
+      const ReadyEntry entry = *resumable;
+      ready_.erase(resumable);
+      Admit(entry, ev);
     }
+  }
+  if (occupied_ == 0) {
     ev.time_s = r_.makespan_s;
     return ev;  // idle: the live caller advances the clock to the next arrival
   }

@@ -21,7 +21,7 @@ double TrialTheta(double theta, hexllm::Rng& rng) {
 }
 
 // Decode length for sample `index` of (task, trial): the same lognormal dispersion as
-// hrt::MakeSampleJobs, but drawn from a stream keyed on (task, trial, index) instead of the
+// hfront::MakeSampleJobs, but drawn from a stream keyed on (task, trial, index) instead of the
 // method's rng, so emitting jobs does not perturb the accuracy statistics or any caller's
 // rng-dependent expectations.
 int SampledDecodeTokens(const ReasoningTask& t, int trial, int index) {

@@ -429,14 +429,18 @@ struct GatherSeq {
   explicit GatherSeq(int layers) : k(static_cast<size_t>(layers)), v(static_cast<size_t>(layers)) {}
 };
 
-// One decode step in the pre-zero-copy style: heap scratch, per-head gather of K/V into
+// One forward in the pre-zero-copy style: heap scratch, per-head gather of Q/K/V into
 // contiguous buffers consumed by the contiguous FlashAttentionF16, theta_base RoPE, and
-// the all-F16 lm_head. The production Step (in-place paged attention, persistent
+// the all-F16 lm_head. Span b is span_rows[b] consecutive rows of seqs[b] (empty
+// span_rows: one row each); `causal` attends from the span base (the verify and prefill
+// form) instead of the decode form, and empty `logits` stops before the final norm (a
+// prefill chunk). The production forward (in-place paged attention, persistent
 // workspace, dequant-once replay, blocked FP32 lm_head) must match this bit-for-bit in
 // logits AND in every simulated charge.
 void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
                          const ModelWeights& weights, std::span<const int> tokens,
-                         std::span<GatherSeq* const> seqs, std::span<float> logits) {
+                         std::span<GatherSeq* const> seqs, std::span<float> logits,
+                         std::span<const int> span_rows = {}, bool causal = false) {
   const ModelConfig& c = weights.config;
   const int batch = static_cast<int>(tokens.size());
   const int hidden = c.hidden;
@@ -445,6 +449,7 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
   const int dh = c.head_dim;
   const int group = c.heads / c.kv_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const auto rows_of = [&](size_t b) { return span_rows.empty() ? 1 : span_rows[b]; };
 
   std::vector<F16> x(static_cast<size_t>(batch) * hidden);
   std::vector<F16> xn(static_cast<size_t>(batch) * hidden);
@@ -458,6 +463,8 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
   std::vector<F16> act(static_cast<size_t>(batch) * c.ffn_hidden);
   std::vector<F16> kbuf;
   std::vector<F16> vbuf;
+  std::vector<F16> qbuf;
+  std::vector<F16> obuf;
 
   for (int b = 0; b < batch; ++b) {
     std::memcpy(x.data() + static_cast<int64_t>(b) * hidden,
@@ -474,26 +481,33 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
     lw.wk.Forward(dev, xn.data(), k.data(), batch);
     lw.wv.Forward(dev, xn.data(), v.data(), batch);
 
-    for (int b = 0; b < batch; ++b) {
-      GatherSeq& s = *seqs[static_cast<size_t>(b)];
-      const int pos = static_cast<int>(s.k[static_cast<size_t>(l)].size()) / kv_dim;
-      hkern::RopeHeadsF16(dev, q.data() + static_cast<int64_t>(b) * q_dim, c.heads, dh, pos,
-                          c.rope_theta);
-      hkern::RopeHeadsF16(dev, k.data() + static_cast<int64_t>(b) * kv_dim, c.kv_heads, dh,
-                          pos, c.rope_theta);
-      s.k[static_cast<size_t>(l)].insert(s.k[static_cast<size_t>(l)].end(),
-                                         k.begin() + static_cast<int64_t>(b) * kv_dim,
-                                         k.begin() + static_cast<int64_t>(b + 1) * kv_dim);
-      s.v[static_cast<size_t>(l)].insert(s.v[static_cast<size_t>(l)].end(),
-                                         v.begin() + static_cast<int64_t>(b) * kv_dim,
-                                         v.begin() + static_cast<int64_t>(b + 1) * kv_dim);
+    int r = 0;
+    for (size_t b = 0; b < seqs.size(); ++b) {
+      GatherSeq& s = *seqs[b];
+      for (int i = 0; i < rows_of(b); ++i, ++r) {
+        const int pos = static_cast<int>(s.k[static_cast<size_t>(l)].size()) / kv_dim;
+        hkern::RopeHeadsF16(dev, q.data() + static_cast<int64_t>(r) * q_dim, c.heads, dh,
+                            pos, c.rope_theta);
+        hkern::RopeHeadsF16(dev, k.data() + static_cast<int64_t>(r) * kv_dim, c.kv_heads,
+                            dh, pos, c.rope_theta);
+        s.k[static_cast<size_t>(l)].insert(s.k[static_cast<size_t>(l)].end(),
+                                           k.begin() + static_cast<int64_t>(r) * kv_dim,
+                                           k.begin() + static_cast<int64_t>(r + 1) * kv_dim);
+        s.v[static_cast<size_t>(l)].insert(s.v[static_cast<size_t>(l)].end(),
+                                           v.begin() + static_cast<int64_t>(r) * kv_dim,
+                                           v.begin() + static_cast<int64_t>(r + 1) * kv_dim);
+      }
     }
 
-    for (int b = 0; b < batch; ++b) {
-      GatherSeq& s = *seqs[static_cast<size_t>(b)];
+    int r0 = 0;
+    for (size_t b = 0; b < seqs.size(); ++b) {
+      GatherSeq& s = *seqs[b];
+      const int n = rows_of(b);
       const int kv_len = static_cast<int>(s.k[static_cast<size_t>(l)].size()) / kv_dim;
       kbuf.resize(static_cast<size_t>(kv_len) * dh);
       vbuf.resize(static_cast<size_t>(kv_len) * dh);
+      qbuf.resize(static_cast<size_t>(n) * dh);
+      obuf.resize(static_cast<size_t>(n) * dh);
       for (int h = 0; h < c.heads; ++h) {
         const int kvh = h / group;
         for (int p = 0; p < kv_len; ++p) {
@@ -506,12 +520,20 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
                           static_cast<int64_t>(p) * kv_dim + static_cast<int64_t>(kvh) * dh,
                       static_cast<size_t>(dh) * 2);
         }
-        hkern::FlashAttentionF16(dev, lut, hkern::SoftmaxVariant::kLut,
-                                 q.data() + static_cast<int64_t>(b) * q_dim + h * dh,
-                                 kbuf.data(), vbuf.data(),
-                                 attn.data() + static_cast<int64_t>(b) * q_dim + h * dh,
-                                 /*q_len=*/1, kv_len, dh, scale);
+        for (int i = 0; i < n; ++i) {
+          std::memcpy(qbuf.data() + static_cast<int64_t>(i) * dh,
+                      q.data() + static_cast<int64_t>(r0 + i) * q_dim + h * dh,
+                      static_cast<size_t>(dh) * 2);
+        }
+        hkern::FlashAttentionF16(dev, lut, hkern::SoftmaxVariant::kLut, qbuf.data(),
+                                 kbuf.data(), vbuf.data(), obuf.data(), n, kv_len, dh, scale,
+                                 causal ? kv_len - n : -1);
+        for (int i = 0; i < n; ++i) {
+          std::memcpy(attn.data() + static_cast<int64_t>(r0 + i) * q_dim + h * dh,
+                      obuf.data() + static_cast<int64_t>(i) * dh, static_cast<size_t>(dh) * 2);
+        }
       }
+      r0 += n;
     }
 
     lw.wo.Forward(dev, attn.data(), proj.data(), batch);
@@ -523,6 +545,9 @@ void GatherReferenceStep(hexsim::NpuDevice& dev, const hkern::ExpLut& lut,
                       static_cast<int64_t>(batch) * c.ffn_hidden);
     lw.w_down.Forward(dev, act.data(), proj.data(), batch);
     hkern::AddF16(dev, x.data(), proj.data(), x.data(), static_cast<int64_t>(batch) * hidden);
+  }
+  if (logits.empty()) {
+    return;
   }
 
   hkern::RmsNormF16(dev, x.data(), weights.final_norm.data(), xn.data(), batch, hidden,
@@ -610,6 +635,92 @@ TEST_F(TransformerTest, PagedAttentionMatchesGatherReference) {
   }
   EXPECT_GE(tf.kv().stats().cow_splits, 1);
 
+  ExpectSameCharges(dev_, dev_ref);
+}
+
+TEST_F(TransformerTest, ChunkedPrefillMatchesGatherReference) {
+  // A 40-token prompt prefills as a 32-row and an 8-row causal chunk (more rows than
+  // max_batch), then decodes: logits and every simulated charge match the gather
+  // reference.
+  hexec::ParallelismOverride serial(1);
+  const int64_t vocab = config_.vocab;
+  hexsim::NpuDevice dev_ref(hexsim::OnePlus12());
+  hkern::ExpLut ref_lut(dev_ref);
+  GatherSeq ref(config_.layers);
+  std::vector<GatherSeq*> ref_seqs{&ref};
+  Transformer tf(dev_, weights_, /*max_batch=*/1, /*max_context=*/64);
+
+  std::vector<int> prompt(40);
+  for (size_t i = 0; i < prompt.size(); ++i) {
+    prompt[i] = static_cast<int>((i * 13 + 7) % vocab);
+  }
+  tf.Prefill(0, prompt);
+  for (const int chunk_begin : {0, hkern::kAttnQTile}) {
+    const std::span<const int> chunk = std::span<const int>(prompt).subspan(
+        static_cast<size_t>(chunk_begin),
+        std::min<size_t>(hkern::kAttnQTile, prompt.size() - chunk_begin));
+    const int rows = static_cast<int>(chunk.size());
+    GatherReferenceStep(dev_ref, ref_lut, weights_, chunk, ref_seqs, {}, {&rows, 1},
+                        /*causal=*/true);
+  }
+  ASSERT_EQ(tf.kv().length(0), 40);
+
+  std::vector<float> logits(static_cast<size_t>(vocab));
+  std::vector<float> ref_logits(static_cast<size_t>(vocab));
+  std::vector<int> tokens{2};
+  for (int step = 0; step < 3; ++step) {
+    tf.Step(tokens, logits);
+    GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs, ref_logits);
+    ASSERT_EQ(std::memcmp(logits.data(), ref_logits.data(), sizeof(float) * vocab), 0)
+        << "step " << step;
+    tokens[0] = ArgmaxToken(logits);
+  }
+  ExpectSameCharges(dev_, dev_ref);
+}
+
+TEST_F(TransformerTest, StepSpansMatchesGatherReference) {
+  // The speculative verify forward: after a copy-on-write fork, one call mixes a 1-row and
+  // a 3-row causal span (and the next call swaps them). Logits for every row and every
+  // simulated charge match the gather reference.
+  hexec::ParallelismOverride serial(1);
+  const int64_t vocab = config_.vocab;
+  hexsim::NpuDevice dev_ref(hexsim::OnePlus12());
+  hkern::ExpLut ref_lut(dev_ref);
+  GatherSeq ref0(config_.layers);
+  GatherSeq ref1(config_.layers);
+  Transformer tf(dev_, weights_, /*max_batch=*/2, /*max_context=*/32, /*kv_pool_blocks=*/0,
+                 hquant::KvDtype::kF16, hquant::kGroupSize, /*max_step_rows=*/4);
+
+  std::vector<float> logits(4 * static_cast<size_t>(vocab));
+  std::vector<float> ref_logits(4 * static_cast<size_t>(vocab));
+  std::vector<int> tokens{7};
+  std::vector<int> seq_ids{0};
+  std::vector<GatherSeq*> ref_seqs{&ref0};
+  for (int step = 0; step < 3; ++step) {
+    const std::span<float> out(logits.data(), static_cast<size_t>(vocab));
+    tf.StepSeqs(tokens, seq_ids, out);
+    GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs,
+                        std::span<float>(ref_logits.data(), static_cast<size_t>(vocab)));
+    tokens[0] = ArgmaxToken(out);
+  }
+  const int64_t handle = tf.kv().Retain(0);
+  tf.kv().ShareFromHandle(handle, /*dst_seq=*/1, tf.kv().handle_length(handle));
+  tf.kv().DropHandle(handle);
+  ref1 = ref0;
+
+  seq_ids = {0, 1};
+  ref_seqs = {&ref0, &ref1};
+  tokens = {11, 402, 3, 77};
+  for (const std::vector<int>& span_rows : {std::vector<int>{1, 3}, std::vector<int>{3, 1}}) {
+    tf.StepSpans(tokens, seq_ids, span_rows, logits);
+    GatherReferenceStep(dev_ref, ref_lut, weights_, tokens, ref_seqs, ref_logits, span_rows,
+                        /*causal=*/true);
+    ASSERT_EQ(std::memcmp(logits.data(), ref_logits.data(), sizeof(float) * 4 * vocab), 0)
+        << "spans " << span_rows[0] << "+" << span_rows[1];
+  }
+  EXPECT_EQ(tf.kv().length(0), 3 + 1 + 3);
+  EXPECT_EQ(tf.kv().length(1), 3 + 3 + 1);
+  EXPECT_GE(tf.kv().stats().cow_splits, 1);
   ExpectSameCharges(dev_, dev_ref);
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
-#include "src/runtime/scheduler.h"
+#include "src/frontend/traffic.h"
+#include "src/runtime/engine.h"
 #include "src/serving/continuous_batcher.h"
 
 namespace hrt {
 namespace {
+
+using hfront::MakeSampleJobs;
+using hfront::SampleJob;
 
 class SchedulerTest : public ::testing::Test {
  protected:

@@ -316,8 +316,10 @@ class BackendParityTest : public ::testing::Test {
 };
 
 // Shared KV budget in blocks (0 = none: analytic ungated, functional pool sized for the
-// batch), KV dtype, and whether priority preemption is on.
-using ParityParams = std::tuple<int, hquant::KvDtype, bool>;
+// batch), KV dtype, whether priority preemption is on, and the Best-of-N group's prompt
+// length (the beam group's prompt is 4 tokens shorter).
+using ParityParams = std::tuple<int, hquant::KvDtype, bool, int>;
+constexpr int kParityPrompt = 28;
 
 class BackendParityParamTest : public BackendParityTest,
                                public ::testing::WithParamInterface<ParityParams> {};
@@ -330,17 +332,17 @@ TEST_P(BackendParityParamTest, BackendsScheduleIdenticalJobStreamsIdentically) {
   // job maps retained KV: a Best-of-N group sharing one prompt anchor, a two-round beam
   // group whose second round forks the first, a high-priority group whose second round
   // becomes ready mid-run, and low-priority singletons it may preempt.
-  const auto [budget_blocks, dtype, preempt] = GetParam();
+  const auto [budget_blocks, dtype, preempt, prompt] = GetParam();
   std::vector<ServeJob> jobs;
   for (int i = 0; i < 4; ++i) {
-    jobs.push_back(Job(i, 6 + 5 * i, /*group=*/0, /*prompt=*/28));
+    jobs.push_back(Job(i, 6 + 5 * i, /*group=*/0, prompt));
   }
   for (int i = 4; i < 6; ++i) {
-    jobs.push_back(Job(i, 10 + 4 * (i - 4), /*group=*/1, /*prompt=*/24));
+    jobs.push_back(Job(i, 10 + 4 * (i - 4), /*group=*/1, prompt - 4));
   }
   for (int i = 6; i < 10; ++i) {
     const ServeJob& parent = jobs[static_cast<size_t>(4 + i % 2)];
-    ServeJob child = Job(i, 8 + 2 * (i - 6), /*group=*/1, /*prompt=*/24,
+    ServeJob child = Job(i, 8 + 2 * (i - 6), /*group=*/1, prompt - 4,
                          /*context=*/parent.context_tokens + parent.decode_tokens,
                          /*barrier=*/1);
     child.parent_job = parent.id;
@@ -404,10 +406,14 @@ TEST_P(BackendParityParamTest, BackendsScheduleIdenticalJobStreamsIdentically) {
   // whenever the high-priority round fits (it never does in 8 blocks).
   EXPECT_EQ(ra.forked_admissions, 4);
   EXPECT_GT(ra.kv.cow_splits, 0);
-  EXPECT_EQ(ra.admission_deferrals > 0, budget_blocks == 8 || budget_blocks == 10 ||
-                                            (budget_blocks == 12 && preempt));
-  EXPECT_EQ(ra.preemptions, preempt && budget_blocks != 8 ? 1 : 0);
   EXPECT_EQ(ra.resumes, ra.preemptions);
+  if (prompt != kParityPrompt) {
+    EXPECT_GT(ra.preemptions, 0);
+  } else {
+    EXPECT_EQ(ra.admission_deferrals > 0, budget_blocks == 8 || budget_blocks == 10 ||
+                                              (budget_blocks == 12 && preempt));
+    EXPECT_EQ(ra.preemptions, preempt && budget_blocks != 8 ? 1 : 0);
+  }
   // Both clocks advance; the analytic one prices the full-pipeline cost model.
   EXPECT_GT(ra.makespan_s, 0.0);
   EXPECT_GT(rf.makespan_s, 0.0);
@@ -425,17 +431,27 @@ TEST_P(BackendParityParamTest, BackendsScheduleIdenticalJobStreamsIdentically) {
   }
 }
 
+std::string ParityName(const ::testing::TestParamInfo<ParityParams>& info) {
+  const int budget = std::get<0>(info.param);
+  const int prompt = std::get<3>(info.param);
+  return (budget > 0 ? "Budget" + std::to_string(budget) : std::string("NoBudget")) + "_" +
+         hquant::KvDtypeName(std::get<1>(info.param)) +
+         (std::get<2>(info.param) ? "_Preempt" : "_NoPreempt") +
+         (prompt != kParityPrompt ? "_Prompt" + std::to_string(prompt) : std::string());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BudgetDtypePreemption, BackendParityParamTest,
     ::testing::Combine(::testing::Values(0, 8, 10, 12, 24),
                        ::testing::Values(hquant::KvDtype::kF16, hquant::KvDtype::kInt8),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<ParityParams>& info) {
-      const int budget = std::get<0>(info.param);
-      return (budget > 0 ? "Budget" + std::to_string(budget) : std::string("NoBudget")) +
-             "_" + hquant::KvDtypeName(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_Preempt" : "_NoPreempt");
-    });
+                       ::testing::Bool(), ::testing::Values(kParityPrompt)),
+    ParityName);
+
+// A preempted singleton's resident pages leave the front job unable to fit even an empty
+// batch; the batcher resumes the paused job instead of failing the run.
+INSTANTIATE_TEST_SUITE_P(PausedPagesFillBudget, BackendParityParamTest,
+                         ::testing::Values(ParityParams{8, hquant::KvDtype::kF16, true, 32}),
+                         ParityName);
 
 TEST_F(BackendParityTest, FunctionalDecodeIsDeterministicAcrossRuns) {
   const std::vector<ServeJob> jobs = {Job(0, 5, -1, 4), Job(1, 7, -1, 2), Job(2, 3)};
