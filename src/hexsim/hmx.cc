@@ -28,42 +28,30 @@ void HmxEngine::UnpackTile(const F16* tile, F16* rowmajor, int64_t row_stride,
   }
 }
 
-void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, float* acc) {
-  HEXLLM_CHECK_MSG(tcm.Contains(a_tile), "HMX activation tile must reside in TCM");
-  HEXLLM_CHECK_MSG(tcm.Contains(b_tile), "HMX weight tile must reside in TCM");
-  ++tile_ops_;
-
-  // Decode the weight tile into scratch row-major form once (the hardware streams the
-  // permuted layout natively; the decode is a simulation artifact, not a timed operation).
-  float b[kTileElems];
+void HmxEngine::DecodeTile(const F16* tile, float* rowmajor) {
+  // Row pair p holds the transposed 2x32 block: halfwords (2p, c), (2p+1, c), (2p, c+1), ...
   for (int p = 0; p < kTileDim / 2; ++p) {
-    const F16* pair = b_tile + p * 2 * kTileDim;
-    float* even = b + (2 * p) * kTileDim;
+    const F16* pair = tile + p * 2 * kTileDim;
+    float* even = rowmajor + (2 * p) * kTileDim;
     float* odd = even + kTileDim;
     for (int c = 0; c < kTileDim; ++c) {
       even[c] = pair[2 * c].ToFloat();
       odd[c] = pair[2 * c + 1].ToFloat();
     }
   }
-  // FP16 products accumulated in FP32 (the unit's internal higher-precision accumulator).
-  // Activation elements decode lazily: a zero magnitude (bits 0x0000/0x8000, i.e. exactly
-  // the av == 0.0f values) contributes nothing, so padded rows skip both the table lookup
-  // and the MAC sweep — bit-identical result, and the simulation cost scales with the
-  // tile's occupied rows instead of the full 32.
-  for (int r = 0; r < kTileDim; ++r) {
-    const F16* a_row = a_tile + (r / 2) * 2 * kTileDim + (r % 2);
-    float* acc_row = acc + r * kTileDim;
-    for (int k = 0; k < kTileDim; ++k) {
-      const uint16_t bits = a_row[2 * k].bits();
-      if ((bits & 0x7FFFu) == 0) {
-        continue;
-      }
-      const float av = hexllm::F16BitsToF32(bits);
-      const float* b_row = b + k * kTileDim;
-      for (int c = 0; c < kTileDim; ++c) {
-        acc_row[c] += av * b_row[c];
-      }
-    }
+}
+
+void HmxEngine::TileMacc(const Tcm& tcm, const F16* a_tile, const F16* b_tile, float* acc,
+                         int valid_rows) {
+  HEXLLM_CHECK_MSG(tcm.Contains(a_tile), "HMX activation tile must reside in TCM");
+  HEXLLM_CHECK_MSG(tcm.Contains(b_tile), "HMX weight tile must reside in TCM");
+  HEXLLM_CHECK(valid_rows >= 0 && valid_rows <= kTileDim);
+  ++tile_ops_;
+  float b[kTileElems];
+  DecodeTile(b_tile, b);
+  // Activation row r starts at its row pair's parity slot and steps 2 halfwords per k.
+  for (int r = 0; r < valid_rows; ++r) {
+    MaccRow(a_tile + (r / 2) * 2 * kTileDim + (r % 2), 2, b, kTileDim, acc + r * kTileDim);
   }
 }
 

@@ -49,10 +49,50 @@ class HmxEngine {
   static void UnpackTile(const hexllm::F16* tile, hexllm::F16* rowmajor, int64_t row_stride,
                          int valid_rows = kTileDim);
 
+  // Decodes an HMX-layout tile into row-major FP32 (F16 -> FP32 is exact). The hardware
+  // streams the permuted layout natively; the decode is a simulation artifact, not a timed
+  // operation.
+  static void DecodeTile(const hexllm::F16* tile, float* rowmajor);
+
+  // The unit's numerics for one accumulator row: acc_row[c] += a_row[k * a_stride] * b[k][c]
+  // for k ascending over [0, kc), c in [0, 32), with FP16 products summed in FP32 (the
+  // unit's higher-precision accumulator). `b` is row-major FP32 (kc x 32). Activations of
+  // zero magnitude (bits 0x0000/0x8000, exactly the av == 0.0f values) are skipped. A
+  // sweep over kc = k equals kc / 32 chained tile MACs bit for bit, which lets
+  // hkern::GemmF16Hmx run whole decoded weight panels through it.
+  static void MaccRow(const hexllm::F16* a_row, int a_stride, const float* b, int kc,
+                      float* acc_row) {
+    float sum[kTileDim];  // a local copy the compiler keeps in registers
+    for (int c = 0; c < kTileDim; ++c) {
+      sum[c] = acc_row[c];
+    }
+    for (int k = 0; k < kc; ++k) {
+      const uint16_t bits = a_row[k * a_stride].bits();
+      if ((bits & 0x7FFFu) == 0) {
+        continue;
+      }
+      const float av = hexllm::F16BitsToF32(bits);
+      const float* b_row = b + k * kTileDim;
+      for (int c = 0; c < kTileDim; ++c) {
+        sum[c] += av * b_row[c];
+      }
+    }
+    for (int c = 0; c < kTileDim; ++c) {
+      acc_row[c] = sum[c];
+    }
+  }
+
   // acc[32*32] (FP32, row-major) += A * B where A and B are HMX-layout tiles in TCM.
-  // A is the activation tile (rows x k), B the weight tile (k x cols).
+  // A is the activation tile (rows x k), B the weight tile (k x cols). Only the first
+  // `valid_rows` rows of A are read and only those rows of acc are updated; rows from
+  // valid_rows on are left untouched (a partially occupied tile costs host time for its
+  // live rows only — the tile-op count is one either way).
   void TileMacc(const Tcm& tcm, const hexllm::F16* a_tile, const hexllm::F16* b_tile,
-                float* acc);
+                float* acc, int valid_rows = kTileDim);
+
+  // Counts `n` tile MAC ops whose numerics ran outside TileMacc (hkern::GemmF16Hmx runs
+  // MaccRow over decoded weights and charges the tile ops it stands for).
+  void CountTileOps(int64_t n) { tile_ops_ += n; }
 
   // Writes the FP32 accumulator to an HMX-layout FP16 output tile, applying the per-column
   // (output-channel) scale and bias the hardware supports. scale/bias may be null. Rows >=

@@ -265,10 +265,10 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
 
       // S chunk = scale * (Q K^T): HMX with FP32 accumulation, written back as FP16 rows.
       for (int t = 0; t < kvt; ++t) {
-        std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
+        std::fill(acc, acc + rows * HmxEngine::kTileDim, 0.0f);  // live rows only
         for (int dt = 0; dt < d_tiles; ++dt) {
           hmx.TileMacc(tcm, q_tiles_mem + dt * HmxEngine::kTileElems,
-                       kt_tiles_mem + (t * d_tiles + dt) * HmxEngine::kTileElems, acc);
+                       kt_tiles_mem + (t * d_tiles + dt) * HmxEngine::kTileElems, acc, rows);
           ++qk_tile_ops;
         }
         hmx.StoreAcc(acc, pv_tile, col_scale, nullptr, rows);
@@ -367,10 +367,10 @@ void FlashAttentionCore(hexsim::NpuDevice& dev, const ExpLut& lut, SoftmaxVarian
 
       // O += P V (HMX, FP32 accumulation), added into the FP16 O rows.
       for (int dt = 0; dt < d_tiles; ++dt) {
-        std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
+        std::fill(acc, acc + rows * HmxEngine::kTileDim, 0.0f);  // live rows only
         for (int t = 0; t < kvt; ++t) {
           hmx.TileMacc(tcm, p_tiles_mem + t * HmxEngine::kTileElems,
-                       v_tiles_mem + (t * d_tiles + dt) * HmxEngine::kTileElems, acc);
+                       v_tiles_mem + (t * d_tiles + dt) * HmxEngine::kTileElems, acc, rows);
           ++pv_tile_ops;
         }
         hmx.StoreAcc(acc, pv_tile, nullptr, nullptr, rows);

@@ -1,8 +1,6 @@
 #include "src/kernels/gemm.h"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
 
 #include "src/base/check.h"
 #include "src/base/math_util.h"
@@ -22,8 +20,13 @@ int64_t GemmF16HmxTileOps(int m, int k, int n) {
          hexllm::CeilDiv(n, 32);
 }
 
-double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16* c, int m,
-                  int k, int n, bool operands_in_tcm, int valid_m) {
+namespace {
+
+// The HMX GEMM with B either as an F16 tile stream (`b_tiles`) or already decoded to FP32
+// panels (`b_panels`); exactly one is non-null. Charges are identical either way.
+double GemmHmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles,
+               const float* b_panels, F16* c, int m, int k, int n, bool operands_in_tcm,
+               int valid_m) {
   HEXLLM_CHECK(m % 32 == 0 && k % 32 == 0 && n % 32 == 0);
   if (valid_m < 0) {
     valid_m = m;
@@ -35,10 +38,10 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
   const int kt = k / 32;
   const int nt = n / 32;
 
-  // Row-strips are independent: each ParallelFor slot runs the legacy strip loop against
-  // its own shard device (private TCM scratch + counters), writing a disjoint slice of `c`.
-  // The decomposition is deterministic and every output tile sees the identical op
-  // sequence, so results and counters are bit-identical at any lane count.
+  // Row-strips are independent: each ParallelFor slot charges its strips against its own
+  // shard device (private TCM scratch + counters) and writes a disjoint slice of `c`. The
+  // decomposition is deterministic and every strip makes the identical charge sequence,
+  // so results and counters are bit-identical at any lane count.
   const int slots = hexec::PlannedSlots(mt);
   dev.EnsureShards(slots);
   // Per-slot accounting on the stack: steady-state decode GEMMs must not heap-allocate
@@ -53,61 +56,76 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
       mt,
       [&](int64_t mi_begin, int64_t mi_end, int slot) {
         hexsim::NpuDevice& d = dev.ForSlot(slot);
-        HmxEngine& hmx = d.hmx();
         hexsim::Tcm& tcm = d.tcm();
         hexsim::TcmFrame frame(tcm);
 
-        // Working tiles in TCM: one A strip (kt tiles), one B strip, one output tile.
-        F16* a_strip =
-            reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes));
-        F16* b_strip =
-            reinterpret_cast<F16*>(tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes));
-        F16* out_tile = reinterpret_cast<F16*>(tcm.Alloc(HmxEngine::kTileBytes));
+        // The tile pipeline's TCM working set — one A strip (kt tiles), one B strip, one
+        // output tile — is allocated for its capacity; the host sweep below reads A and
+        // the decoded B directly.
+        auto* a_strip = tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes);
+        auto* b_strip = tcm.Alloc(static_cast<int64_t>(kt) * HmxEngine::kTileBytes);
+        tcm.Alloc(HmxEngine::kTileBytes);
+        HEXLLM_CHECK_MSG(tcm.Contains(a_strip) && tcm.Contains(b_strip),
+                         "HMX operands must reside in TCM");
 
         double dma_s = 0.0;
         int64_t pack_packets = 0;
         int64_t tile_ops = 0;
         float acc[HmxEngine::kTileElems];
+        float b_tile[HmxEngine::kTileElems];
 
         for (int64_t mi = mi_begin; mi < mi_end; ++mi) {
-          // Rows of this strip that carry data; the rest is tile padding (zero-packed, never
-          // read back).
+          // Rows of this strip that carry data; the rest is tile padding, never read or
+          // written.
           const int strip_rows = static_cast<int>(
               std::clamp<int64_t>(valid_m - mi * 32, 0, HmxEngine::kTileDim));
-          // Pack the A row-strip into tiles (charged; skipped cost-wise if operands
-          // pre-packed in TCM — Table 2's peak setup keeps activations resident and
+          const F16* a_rows = a + mi * 32 * k;
+          // Packing the A row-strip into kt tiles is charged unless the operands are
+          // pre-packed in TCM (Table 2's peak setup keeps activations resident and
           // pre-packed).
-          for (int ki = 0; ki < kt; ++ki) {
-            HmxEngine::PackTile(a + (mi * 32) * k + ki * 32, k,
-                                a_strip + ki * HmxEngine::kTileElems, strip_rows);
-            if (!operands_in_tcm) {
-              pack_packets += 16;
-            }
+          if (!operands_in_tcm) {
+            pack_packets += 16 * static_cast<int64_t>(kt);
           }
           for (int ni = 0; ni < nt; ++ni) {
-            // B tiles for output column ni: contiguous in the tile stream (column-major
-            // tiles).
-            const F16* b_src = b_tiles + (static_cast<int64_t>(ni) * kt) * HmxEngine::kTileElems;
-            if (operands_in_tcm) {
-              std::memcpy(b_strip, b_src, static_cast<size_t>(kt) * HmxEngine::kTileBytes);
-            } else {
-              dma_s += d.dma().Transfer1D(b_strip, b_src,
+            // B tiles for output column ni are contiguous in the tile stream: one DMA.
+            if (!operands_in_tcm) {
+              dma_s += d.dma().Transfer1D(b_strip, /*src=*/nullptr,  // charge only
                                           static_cast<int64_t>(kt) * HmxEngine::kTileBytes,
                                           DmaDirection::kDdrToTcm);
             }
-            std::fill(acc, acc + HmxEngine::kTileElems, 0.0f);
-            for (int ki = 0; ki < kt; ++ki) {
-              hmx.TileMacc(tcm, a_strip + ki * HmxEngine::kTileElems,
-                           b_strip + ki * HmxEngine::kTileElems, acc);
-              ++tile_ops;
+            tile_ops += kt;
+
+            // Accumulate over the k tiles in order (or the whole decoded panel at once:
+            // the same ascending-k sums), then round to F16 as HmxEngine::StoreAcc does.
+            std::fill(acc, acc + strip_rows * HmxEngine::kTileDim, 0.0f);
+            if (b_panels != nullptr) {
+              const float* panel = b_panels + static_cast<int64_t>(ni) * k * HmxEngine::kTileDim;
+              for (int r = 0; r < strip_rows; ++r) {
+                HmxEngine::MaccRow(a_rows + r * k, 1, panel, k, acc + r * HmxEngine::kTileDim);
+              }
+            } else {
+              for (int ki = 0; strip_rows > 0 && ki < kt; ++ki) {
+                HmxEngine::DecodeTile(
+                    b_tiles + (static_cast<int64_t>(ni) * kt + ki) * HmxEngine::kTileElems,
+                    b_tile);
+                for (int r = 0; r < strip_rows; ++r) {
+                  HmxEngine::MaccRow(a_rows + r * k + ki * 32, 1, b_tile, HmxEngine::kTileDim,
+                                     acc + r * HmxEngine::kTileDim);
+                }
+              }
             }
-            hmx.StoreAcc(acc, out_tile, nullptr, nullptr, strip_rows);
-            HmxEngine::UnpackTile(out_tile, c + (mi * 32) * n + ni * 32, n, strip_rows);
+            for (int r = 0; r < strip_rows; ++r) {
+              F16* c_row = c + (mi * 32 + r) * n + ni * 32;
+              for (int col = 0; col < HmxEngine::kTileDim; ++col) {
+                c_row[col] = F16(acc[r * HmxEngine::kTileDim + col]);
+              }
+            }
             if (!operands_in_tcm) {
-              pack_packets += 4;
+              pack_packets += 4;  // unpacking the output tile
             }
           }
         }
+        d.hmx().CountTileOps(tile_ops);
         dma_by_slot[static_cast<size_t>(slot)] = dma_s;
         pack_by_slot[static_cast<size_t>(slot)] = pack_packets;
         tiles_by_slot[static_cast<size_t>(slot)] = tile_ops;
@@ -128,6 +146,29 @@ double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16*
   const double pack_s = dev.CommitHvxPackets(pack_packets, 1, "gemm.pack");
   // DMA overlaps with compute in a double-buffered schedule; the serial latency is the max.
   return std::max(dma_s, hmx_s + pack_s);
+}
+
+}  // namespace
+
+void DecodeHmxTilesToPanels(const F16* b_tiles, int k, int n, float* panels) {
+  HEXLLM_CHECK(k % 32 == 0 && n % 32 == 0);
+  // Tile t of the stream is (ki, ni) = (t % kt, t / kt), and panel ni's rows
+  // [32 ki, 32 ki + 32) sit at the same offset t * kTileElems: each tile decodes in place.
+  const int64_t tiles = static_cast<int64_t>(k / 32) * (n / 32);
+  for (int64_t t = 0; t < tiles; ++t) {
+    HmxEngine::DecodeTile(b_tiles + t * HmxEngine::kTileElems,
+                          panels + t * HmxEngine::kTileElems);
+  }
+}
+
+double GemmF16Hmx(hexsim::NpuDevice& dev, const F16* a, const F16* b_tiles, F16* c, int m,
+                  int k, int n, bool operands_in_tcm, int valid_m) {
+  return GemmHmx(dev, a, b_tiles, nullptr, c, m, k, n, operands_in_tcm, valid_m);
+}
+
+double GemmF16HmxPanels(hexsim::NpuDevice& dev, const F16* a, const float* b_panels, F16* c,
+                        int m, int k, int n, bool operands_in_tcm, int valid_m) {
+  return GemmHmx(dev, a, nullptr, b_panels, c, m, k, n, operands_in_tcm, valid_m);
 }
 
 int64_t GemmF16HvxPackets(const hexsim::DeviceProfile& profile, int m, int k, int n) {

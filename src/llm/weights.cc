@@ -2,11 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "src/base/check.h"
+#include "src/base/env.h"
 #include "src/base/math_util.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/mixed_gemm.h"
@@ -22,7 +21,8 @@ using hexllm::RoundToF16;
 namespace {
 
 std::atomic<bool>& WeightCacheFlag() {
-  static std::atomic<bool> enabled(std::getenv("HEXLLM_NO_WEIGHT_CACHE") == nullptr);
+  static std::atomic<bool> enabled(
+      hexllm::EnvChoice("HEXLLM_NO_WEIGHT_CACHE", /*configured=*/0, {"0", "1"}) == 0);
   return enabled;
 }
 
@@ -64,20 +64,33 @@ int64_t QuantizedLinear::quantized_bytes() const {
                               b8_.size() * sizeof(hquant::BlockQ8_0));
 }
 
-void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m,
-                              DecodeWorkspace* ws) const {
+void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int m) const {
   HEXLLM_CHECK(m >= 1);
   hexsim::TcmFrame frame(dev.tcm());
   // Dequantize the full weight stream into TCM (toy-model sizes fit; the production engine
-  // processes strips — see runtime/engine.cc's cost model). With a warm cache the stream is
-  // memcpy'd in and the dequant's simulated charges are replayed instead — bit-identical
-  // counters, no per-element LUT simulation (docs/performance.md).
+  // processes strips — see runtime/engine.cc's cost model). With a warm cache nothing is
+  // written there: the GEMM reads the cached FP32 panels and the dequant's simulated
+  // charges are replayed — bit-identical counters, no per-element LUT simulation
+  // (docs/performance.md). The allocation stays, as the TCM capacity the stream occupies.
   auto* w_tcm = reinterpret_cast<F16*>(dev.tcm().Alloc(k_ * n_ * 2));
   const bool cache_on = WeightCacheEnabled() && cache_ != nullptr;
   const bool cache_warm = cache_on && cache_->ready.load(std::memory_order_acquire);
+  const auto fill_cache = [&](int64_t packets, int64_t vgather, int64_t vscatter,
+                              int64_t vlut16) {
+    std::lock_guard<std::mutex> lock(cache_->mu);
+    if (!cache_->ready.load(std::memory_order_relaxed)) {
+      cache_->panels.resize(static_cast<size_t>(k_ * n_));
+      hkern::DecodeHmxTilesToPanels(w_tcm, static_cast<int>(k_), static_cast<int>(n_),
+                                    cache_->panels.data());
+      cache_->packets = packets;
+      cache_->vgather = vgather;
+      cache_->vscatter = vscatter;
+      cache_->vlut16 = vlut16;
+      cache_->ready.store(true, std::memory_order_release);
+    }
+  };
   if (scheme_ == hquant::WeightScheme::kQ4_0) {
     if (cache_warm) {
-      std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(k_ * n_) * 2);
       dev.ledger().AddCount("kernel.dequant_coalesced_lut.calls");
       dev.hvx().ReplayOps(cache_->vgather, cache_->vscatter, cache_->vlut16);
       dev.CommitHvxPackets(cache_->packets, 1, "linear.dequant");
@@ -90,25 +103,16 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
       dev.CommitHvxPackets(packets, 1, "linear.dequant");
       dev.hvx().ResetPackets();
       if (cache_on) {
-        std::lock_guard<std::mutex> lock(cache_->mu);
-        if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->stream.assign(w_tcm, w_tcm + k_ * n_);
-          cache_->packets = packets;
-          // DequantCoalescedLut merges its shards before returning, so the parent-device
-          // deltas capture the whole call at any lane count.
-          cache_->vgather = dev.hvx().vgather_ops() - vgather0;
-          cache_->vscatter = dev.hvx().vscatter_ops() - vscatter0;
-          cache_->vlut16 = dev.hvx().vlut16_ops() - vlut0;
-          cache_->ready.store(true, std::memory_order_release);
-        }
+        // DequantCoalescedLut merges its shards before returning, so the parent-device
+        // deltas capture the whole call at any lane count.
+        fill_cache(packets, dev.hvx().vgather_ops() - vgather0,
+                   dev.hvx().vscatter_ops() - vscatter0, dev.hvx().vlut16_ops() - vlut0);
       }
     }
   } else {
     // Q8: conventional unpack (widen + scale), contiguous stores; ~8 packets per 64.
     const int64_t n_elems = k_ * n_;
-    if (cache_warm) {
-      std::memcpy(w_tcm, cache_->stream.data(), static_cast<size_t>(n_elems) * 2);
-    } else {
+    if (!cache_warm) {
       for (size_t bi = 0; bi < b8_.size(); ++bi) {
         const float d = b8_[bi].d.ToFloat();
         for (int i = 0; i < hquant::kGroupSize; ++i) {
@@ -117,43 +121,22 @@ void QuantizedLinear::Forward(hexsim::NpuDevice& dev, const F16* x, F16* y, int 
         }
       }
       if (cache_on) {
-        std::lock_guard<std::mutex> lock(cache_->mu);
-        if (!cache_->ready.load(std::memory_order_relaxed)) {
-          cache_->stream.assign(w_tcm, w_tcm + n_elems);
-          cache_->ready.store(true, std::memory_order_release);
-        }
+        fill_cache(0, 0, 0, 0);
       }
     }
     dev.CommitHvxPackets(n_elems / 64 * 8, 1, "linear.dequant");
   }
 
-  if (m % 32 == 0) {
-    // Already tile-aligned rows: no staging copies, the GEMM reads/writes in place.
-    hkern::GemmF16Hmx(dev, x, w_tcm, y, m, static_cast<int>(k_), static_cast<int>(n_),
-                      /*operands_in_tcm=*/true);
-    return;
-  }
-
-  // Pad the activation rows up to a full tile. valid_m = m means the GEMM never reads the
-  // padding rows (and leaves the padded output rows unspecified), so the staging buffers
-  // need no zero fill — only the live rows are copied in and out.
+  // The GEMM reads only the m live rows of x and writes only those rows of y; charges are
+  // those of the tile-padded shape.
   const int m_pad = static_cast<int>(hexllm::RoundUp(m, 32));
-  if (ws != nullptr) {
-    DecodeWorkspace::Frame wframe(*ws);
-    F16* x_pad = ws->Alloc<F16>(static_cast<int64_t>(m_pad) * k_);
-    F16* y_pad = ws->Alloc<F16>(static_cast<int64_t>(m_pad) * n_);
-    std::memcpy(x_pad, x, static_cast<size_t>(m) * k_ * 2);
-    hkern::GemmF16Hmx(dev, x_pad, w_tcm, y_pad, m_pad, static_cast<int>(k_),
-                      static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m);
-    std::memcpy(y, y_pad, static_cast<size_t>(m) * n_ * 2);
-    return;
+  if (cache_on) {
+    hkern::GemmF16HmxPanels(dev, x, cache_->panels.data(), y, m_pad, static_cast<int>(k_),
+                            static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m);
+  } else {
+    hkern::GemmF16Hmx(dev, x, w_tcm, y, m_pad, static_cast<int>(k_), static_cast<int>(n_),
+                      /*operands_in_tcm=*/true, /*valid_m=*/m);
   }
-  std::vector<F16> x_pad(static_cast<size_t>(m_pad) * k_, F16::Zero());
-  std::memcpy(x_pad.data(), x, static_cast<size_t>(m) * k_ * 2);
-  std::vector<F16> y_pad(static_cast<size_t>(m_pad) * n_);
-  hkern::GemmF16Hmx(dev, x_pad.data(), w_tcm, y_pad.data(), m_pad, static_cast<int>(k_),
-                    static_cast<int>(n_), /*operands_in_tcm=*/true, /*valid_m=*/m);
-  std::memcpy(y, y_pad.data(), static_cast<size_t>(m) * n_ * 2);
 }
 
 std::vector<float> QuantizedLinear::Dequantize() const {

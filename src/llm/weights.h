@@ -17,16 +17,15 @@
 #include "src/base/fp16.h"
 #include "src/base/rng.h"
 #include "src/hexsim/npu_device.h"
-#include "src/llm/decode_workspace.h"
 #include "src/llm/model_config.h"
 #include "src/quant/quant_types.h"
 
 namespace hllm {
 
 // Process-wide switch for the dequant-once weight cache (default on). The
-// HEXLLM_NO_WEIGHT_CACHE environment variable (any non-empty value) disables it at startup
-// — the escape hatch for memory-constrained runs and for the replay-parity tests
-// (docs/performance.md).
+// HEXLLM_NO_WEIGHT_CACHE environment variable set to "1" disables it at startup ("0" or
+// empty keeps it on; any other value stops the run) — the escape hatch for
+// memory-constrained runs and for the replay-parity tests (docs/performance.md).
 void SetWeightCacheEnabled(bool enabled);
 bool WeightCacheEnabled();
 
@@ -44,31 +43,29 @@ class QuantizedLinear {
   int64_t quantized_bytes() const;
 
   // Functional forward on the simulator: y[M, N] = x[M, K] (both FP16 row-major host
-  // buffers). Dequantizes into TCM, runs HMX GEMM. M is padded to a tile internally; when
-  // m is already a tile multiple the padding staging is skipped and x/y are used directly.
-  // `ws` (optional) provides heap-free staging scratch for the padded case
-  // (docs/performance.md).
+  // buffers, m rows each). Dequantizes into TCM, runs the HMX GEMM charged at M padded to
+  // a tile; x and y are used in place, padding rows are neither read nor written.
   //
   // Dequant-once cache: with WeightCacheEnabled(), the first Forward stores the
-  // dequantized F16 stream plus the dequant's simulated cost (HVX packets, vlut16 ops);
-  // later calls memcpy the stream into TCM and REPLAY the charges — same
-  // kernel.dequant_coalesced_lut.calls count, same packet totals, same "linear.dequant"
-  // ledger tag — without re-simulating the LUT kernel. Counters are bit-identical either
-  // way; only host time changes.
-  void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m,
-               DecodeWorkspace* ws = nullptr) const;
+  // dequantized stream decoded to FP32 panels (hkern::DecodeHmxTilesToPanels) plus the
+  // dequant's simulated cost (HVX packets, vlut16 ops); later calls feed the panels to
+  // the GEMM and REPLAY the charges — same kernel.dequant_coalesced_lut.calls count, same
+  // packet totals, same "linear.dequant" ledger tag — without re-simulating the LUT kernel
+  // or writing the stream into TCM (its TCM footprint is still allocated). Counters and
+  // outputs are bit-identical either way; only host time changes.
+  void Forward(hexsim::NpuDevice& dev, const hexllm::F16* x, hexllm::F16* y, int m) const;
 
   // Reference reconstruction of the [K, N] column-major matrix (FP32).
   std::vector<float> Dequantize() const;
 
  private:
-  // Memoized dequantized stream + the simulated charges a real dequant would make.
+  // Memoized dequantized weights + the simulated charges a real dequant would make.
   // Owned by shared_ptr so copies of a QuantizedLinear share one cache; all fields after
   // `ready` are written once under `mu` before ready is released.
   struct DequantCache {
     std::mutex mu;
     std::atomic<bool> ready{false};
-    std::vector<hexllm::F16> stream;  // [k * n] in HMX stream order
+    std::vector<float> panels;  // [n/32][k][32], see hkern::DecodeHmxTilesToPanels
     int64_t packets = 0;
     int64_t vgather = 0;
     int64_t vscatter = 0;

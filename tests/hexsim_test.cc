@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -361,6 +362,46 @@ TEST(HmxTest, TileMaccMatchesReference) {
       EXPECT_FLOAT_EQ(acc[static_cast<size_t>(r * 32 + c)], expected);
     }
   }
+}
+
+TEST(HmxTest, TileMaccValidRowsMatchesFullTile) {
+  // A partially occupied tile: the live rows accumulate exactly as a full 32-row call on
+  // the zero-padded tile does, and the accumulator rows past them are never touched —
+  // even when the tile's padding rows hold garbage.
+  hexllm::Rng rng(12);
+  NpuDevice dev(OnePlus12());
+  std::vector<F16> a(1024);
+  std::vector<F16> b(1024);
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Signed zeros (skipped), subnormals (not skipped) and ordinary values.
+    a[i] = i % 9 == 4   ? F16::FromBits(i % 2 == 0 ? 0x0000 : 0x8000)
+           : i % 9 == 7 ? F16::FromBits(static_cast<uint16_t>(0x0001 + i % 0x3FF))
+                        : F16(static_cast<float>(rng.NextGaussian() * 0.3));
+    b[i] = F16(static_cast<float>(rng.NextGaussian() * 0.3));
+  }
+  std::vector<float> acc0(1024);
+  for (auto& v : acc0) {
+    v = static_cast<float>(rng.NextGaussian());
+  }
+  auto* padded = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  auto* garbage = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  auto* bt = reinterpret_cast<F16*>(dev.tcm().Alloc(2048));
+  HmxEngine::PackTile(b.data(), 32, bt);
+  HmxEngine::PackTile(a.data(), 32, garbage);  // every row live: rows past valid are junk
+  for (int valid = 1; valid <= 32; ++valid) {
+    HmxEngine::PackTile(a.data(), 32, padded, valid);
+    std::vector<float> full = acc0;
+    std::vector<float> part = acc0;
+    dev.hmx().TileMacc(dev.tcm(), padded, bt, full.data());
+    dev.hmx().TileMacc(dev.tcm(), garbage, bt, part.data(), valid);
+    const size_t live = static_cast<size_t>(valid) * 32;
+    EXPECT_EQ(std::memcmp(part.data(), full.data(), live * sizeof(float)), 0) << valid;
+    EXPECT_EQ(std::memcmp(part.data() + live, acc0.data() + live,
+                          (acc0.size() - live) * sizeof(float)),
+              0)
+        << valid;
+  }
+  EXPECT_EQ(dev.hmx().tile_ops(), 64);
 }
 
 TEST(HmxDeathTest, OperandsMustBeInTcm) {

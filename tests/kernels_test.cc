@@ -1,10 +1,12 @@
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "src/exec/thread_pool.h"
 #include "src/hexsim/npu_device.h"
 #include "src/kernels/attention.h"
 #include "src/kernels/exp_lut.h"
@@ -449,6 +451,135 @@ TEST(GemmTest, HmxMatchesReference) {
       EXPECT_NEAR(c[static_cast<size_t>(mi) * n + ni].ToFloat(), expected,
                   std::fabs(expected) * 2e-3 + 2e-2)
           << mi << "," << ni;
+    }
+  }
+}
+
+// The HMX GEMM as a sequence of tile-unit ops: per row strip, pack the A tiles, then per
+// output column DMA the B strip in, TileMacc over the k tiles (all 32 rows), StoreAcc and
+// unpack the live rows — with GemmF16Hmx's sharding and charges.
+double TileReferenceGemm(NpuDevice& dev, const F16* a, const F16* b_tiles, F16* c, int m,
+                         int k, int n, bool operands_in_tcm, int valid_m) {
+  using hexsim::HmxEngine;
+  dev.ledger().AddCount("kernel.gemm_hmx.calls");
+  const int mt = m / 32;
+  const int kt = k / 32;
+  const int nt = n / 32;
+  const int slots = hexec::PlannedSlots(mt);
+  dev.EnsureShards(slots);
+  std::vector<double> dma_by_slot(static_cast<size_t>(slots));
+  std::vector<int64_t> pack_by_slot(static_cast<size_t>(slots));
+  std::vector<int64_t> tiles_by_slot(static_cast<size_t>(slots));
+  hexec::ParallelFor(
+      mt,
+      [&](int64_t mi_begin, int64_t mi_end, int slot) {
+        NpuDevice& d = dev.ForSlot(slot);
+        hexsim::TcmFrame frame(d.tcm());
+        auto* a_strip = reinterpret_cast<F16*>(d.tcm().Alloc(kt * HmxEngine::kTileBytes));
+        auto* b_strip = reinterpret_cast<F16*>(d.tcm().Alloc(kt * HmxEngine::kTileBytes));
+        auto* out_tile = reinterpret_cast<F16*>(d.tcm().Alloc(HmxEngine::kTileBytes));
+        std::vector<float> acc(HmxEngine::kTileElems);
+        for (int64_t mi = mi_begin; mi < mi_end; ++mi) {
+          const int rows =
+              static_cast<int>(std::clamp<int64_t>(valid_m - mi * 32, 0, HmxEngine::kTileDim));
+          for (int ki = 0; ki < kt; ++ki) {
+            HmxEngine::PackTile(a + mi * 32 * k + ki * 32, k,
+                                a_strip + ki * HmxEngine::kTileElems, rows);
+            pack_by_slot[static_cast<size_t>(slot)] += operands_in_tcm ? 0 : 16;
+          }
+          for (int ni = 0; ni < nt; ++ni) {
+            const F16* b_src = b_tiles + static_cast<int64_t>(ni) * kt * HmxEngine::kTileElems;
+            if (operands_in_tcm) {
+              std::memcpy(b_strip, b_src, static_cast<size_t>(kt) * HmxEngine::kTileBytes);
+            } else {
+              dma_by_slot[static_cast<size_t>(slot)] +=
+                  d.dma().Transfer1D(b_strip, b_src, kt * HmxEngine::kTileBytes,
+                                     hexsim::DmaDirection::kDdrToTcm);
+            }
+            std::fill(acc.begin(), acc.end(), 0.0f);
+            for (int ki = 0; ki < kt; ++ki) {
+              d.hmx().TileMacc(d.tcm(), a_strip + ki * HmxEngine::kTileElems,
+                               b_strip + ki * HmxEngine::kTileElems, acc.data());
+              ++tiles_by_slot[static_cast<size_t>(slot)];
+            }
+            d.hmx().StoreAcc(acc.data(), out_tile, nullptr, nullptr, rows);
+            HmxEngine::UnpackTile(out_tile, c + mi * 32 * n + ni * 32, n, rows);
+            pack_by_slot[static_cast<size_t>(slot)] += operands_in_tcm ? 0 : 4;
+          }
+        }
+      },
+      slots);
+  dev.MergeShards();
+  double dma_s = 0.0;
+  int64_t pack_packets = 0;
+  int64_t tile_ops = 0;
+  for (int s = 0; s < slots; ++s) {
+    dma_s += dma_by_slot[static_cast<size_t>(s)];
+    pack_packets += pack_by_slot[static_cast<size_t>(s)];
+    tile_ops += tiles_by_slot[static_cast<size_t>(s)];
+  }
+  const double hmx_s = dev.CommitHmxTileOps(tile_ops, "gemm.hmx");
+  const double pack_s = dev.CommitHvxPackets(pack_packets, 1, "gemm.pack");
+  return std::max(dma_s, hmx_s + pack_s);
+}
+
+// F16 operands that exercise every accumulation edge: signed zeros (skipped), subnormals
+// (not skipped) and a few infinities (inf * 0 = NaN, inf - inf = NaN).
+std::vector<F16> SpecialValueMatrix(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<F16> v(static_cast<size_t>(rows) * cols);
+  for (size_t i = 0; i < v.size(); ++i) {
+    switch (i % 11) {
+      case 3: v[i] = F16::FromBits(0x0000); break;
+      case 7: v[i] = F16::FromBits(0x8000); break;
+      case 5: v[i] = F16::FromBits(static_cast<uint16_t>(0x0001 + (i % 0x3FF))); break;
+      case 9: v[i] = F16::FromBits(static_cast<uint16_t>(0x8001 + (i % 0x3FF))); break;
+      default: v[i] = F16(static_cast<float>(rng.NextGaussian() * 0.5));
+    }
+  }
+  v[static_cast<size_t>(2 * cols + 5)] = F16::FromBits(0x7C00);
+  v[v.size() - 7] = F16::FromBits(0xFC00);
+  return v;
+}
+
+TEST(GemmTest, HmxMatchesTileReference) {
+  // The row sweep over decoded weights must reproduce the tile-unit op sequence bit for
+  // bit: every live C element, untouched padding rows, and every simulated charge.
+  const int k = 64;
+  const int n = 96;
+  const std::vector<F16> b_tiles = SpecialValueMatrix(k, n, 52);  // stream order
+  for (const int m : {32, 64}) {
+    const std::vector<F16> a = SpecialValueMatrix(m, k, 51);
+    for (const int valid_m : {1, 7, 31, 33, m}) {
+      if (valid_m > m) {
+        continue;
+      }
+      for (const bool in_tcm : {false, true}) {
+        for (const int lanes : {1, 4}) {
+          hexec::ParallelismOverride par(lanes);
+          NpuDevice dev_ref(OnePlus12());
+          NpuDevice dev(OnePlus12());
+          std::vector<F16> c_ref(static_cast<size_t>(m) * n, F16::FromBits(0x5A5A));
+          std::vector<F16> c = c_ref;
+          const double t_ref = TileReferenceGemm(dev_ref, a.data(), b_tiles.data(),
+                                                 c_ref.data(), m, k, n, in_tcm, valid_m);
+          const double t = GemmF16Hmx(dev, a.data(), b_tiles.data(), c.data(), m, k, n,
+                                      in_tcm, valid_m);
+          SCOPED_TRACE(testing::Message() << "m=" << m << " valid_m=" << valid_m
+                                          << " in_tcm=" << in_tcm << " lanes=" << lanes);
+          EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(F16)), 0);
+          EXPECT_EQ(t, t_ref);
+          EXPECT_EQ(dev.hmx().tile_ops(), dev_ref.hmx().tile_ops());
+          EXPECT_EQ(dev.hvx().packets(), dev_ref.hvx().packets());
+          EXPECT_EQ(dev.ledger().dma_bytes(), dev_ref.ledger().dma_bytes());
+          EXPECT_EQ(dev.ledger().counts(), dev_ref.ledger().counts());
+          EXPECT_EQ(dev.ledger().tags(), dev_ref.ledger().tags());
+          for (int e = 0; e < static_cast<int>(hexsim::Engine::kCount); ++e) {
+            EXPECT_EQ(dev.ledger().EngineSeconds(static_cast<hexsim::Engine>(e)),
+                      dev_ref.ledger().EngineSeconds(static_cast<hexsim::Engine>(e)));
+          }
+        }
+      }
     }
   }
 }

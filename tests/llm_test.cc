@@ -869,5 +869,22 @@ TEST(SamplingTest, TokenLogProbIsConsistent) {
   EXPECT_GT(TokenLogProb(logits, 2, 1.0f), TokenLogProb(logits, 0, 1.0f));
 }
 
+// A HEXLLM_NO_WEIGHT_CACHE other than "0", "1" or empty aborts naming the knob instead of
+// silently switching the cache off.
+TEST(EnvKnobDeathTest, NoWeightCacheMustBeZeroOrOne) {
+  // The switch is read once per process, so each death child re-executes the binary to
+  // start with the knob unread.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"yes", "2", "true"}) {
+    EXPECT_DEATH(
+        {
+          setenv("HEXLLM_NO_WEIGHT_CACHE", bad, 1);
+          WeightCacheEnabled();
+        },
+        "HEXLLM_NO_WEIGHT_CACHE")
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace hllm
